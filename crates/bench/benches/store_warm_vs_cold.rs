@@ -1,7 +1,8 @@
 //! The persistent-store benchmark: one campaign cold (empty cache
 //! directory) versus the same campaign warm (fresh in-memory caches, same
-//! store — i.e. what a second CLI process sees), plus a raw VM throughput
-//! measurement for the hot-loop optimizations.
+//! store — i.e. what a second CLI process sees) and versus no store at all
+//! (the price a cold store adds over plain in-memory caching), plus a raw
+//! VM throughput measurement for the hot-loop optimizations.
 //!
 //! The run asserts the store's headline claims and aborts loudly if one
 //! regresses:
@@ -12,10 +13,10 @@
 //!    run's;
 //! 3. warm wall-time beats cold wall-time.
 //!
-//! The measured numbers (cold/warm wall-times, speedup, VM steps/sec) are
-//! additionally written as a machine-readable JSON report to
-//! `BENCH_pr3.json` (override the path with `HOLES_BENCH_OUT`), which CI
-//! uploads as an artifact.
+//! The no-store row is reported, not gated. The measured numbers
+//! (cold/warm/no-store wall-times, speedup, VM steps/sec) are additionally
+//! written as a machine-readable JSON report to `BENCH_pr3.json` (override
+//! the path with `HOLES_BENCH_OUT`), which CI uploads as an artifact.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,6 +94,19 @@ fn store_warm_vs_cold(c: &mut Criterion) {
         "warm-store campaign was not faster than cold ({warm_elapsed:.3}s vs {cold_elapsed:.3}s)"
     );
 
+    // The same campaign with no store at all: the baseline a cold store's
+    // encoding and publishing overhead is measured against.
+    let bare_pool = pool(base, None);
+    let started = Instant::now();
+    let bare = run_campaign(&bare_pool, personality, personality.trunk());
+    let no_store_elapsed = started.elapsed().as_secs_f64();
+    assert_eq!(bare.records, cold.records, "no-store records diverged");
+    let cold_over_no_store = cold_elapsed / no_store_elapsed.max(f64::EPSILON);
+    println!(
+        "  no store {:.1} ms: a cold store costs {cold_over_no_store:.2}x no store",
+        no_store_elapsed * 1e3,
+    );
+
     // Raw VM throughput: run the O0 executables (the step-richest ones) to
     // completion repeatedly and count retired instructions per second.
     println!("== VM throughput (steps/sec) ==");
@@ -128,6 +142,14 @@ fn store_warm_vs_cold(c: &mut Criterion) {
             Json::Num(format!("{:.3}", warm_elapsed * 1e3)),
         ),
         ("speedup".to_owned(), Json::Num(format!("{speedup:.2}"))),
+        (
+            "no_store_ms".to_owned(),
+            Json::Num(format!("{:.3}", no_store_elapsed * 1e3)),
+        ),
+        (
+            "cold_over_no_store".to_owned(),
+            Json::Num(format!("{cold_over_no_store:.2}")),
+        ),
         (
             "cold_compiles".to_owned(),
             Json::from_usize(cold_stats.compiles),

@@ -26,7 +26,8 @@ pub struct Parsed {
     positionals: Vec<String>,
 }
 
-/// A command-line usage error (reported on stderr with exit code 2).
+/// A command-line usage error (reported on stderr with exit code 1, like
+/// every hard failure).
 #[derive(Debug)]
 pub struct UsageError(pub String);
 

@@ -15,8 +15,14 @@
 //!
 //! The parser accepts standard JSON (escapes, surrogate pairs, nesting up to
 //! a fixed depth limit) and reports byte offsets on errors.
+//!
+//! [`JsonWriter`] is the one routine that spells compact JSON text: it
+//! escapes strings and spells numbers, and [`Json::to_compact`] walks a tree
+//! through it. Hot emitters (the artifact store's codecs) drive it directly,
+//! so they append their text without building a [`Json`] tree first.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Nesting depth limit of the parser; deeper documents are rejected rather
 /// than risking stack exhaustion on adversarial input.
@@ -153,7 +159,7 @@ impl Json {
     /// Serialize without any whitespace.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        JsonWriter::new(&mut out).value(self);
         out
     }
 
@@ -183,57 +189,184 @@ impl Json {
                 push_indent(out, indent);
                 out.push('}');
             }
-            _ => self.write_compact(out),
-        }
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(text) => out.push_str(text),
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(out, key);
-                    out.push(':');
-                    value.write_compact(out);
-                }
-                out.push('}');
-            }
+            _ => JsonWriter::new(out).value(self),
         }
     }
 
     /// Parse a JSON document. Exactly one value is expected; trailing
     /// content other than whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.value(0)?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing content after the JSON value"));
-        }
-        Ok(value)
+        Parser::new(input, false).document().map(|(value, _)| value)
     }
+
+    /// [`Json::parse`], also returning the byte range of `input` that each
+    /// top-level object member's value occupies, in member order (empty
+    /// when the document is not an object). A verifier can then hash a
+    /// member's exact bytes instead of re-serializing the parsed value.
+    pub fn parse_with_spans(input: &str) -> Result<(Json, Vec<Range<usize>>), JsonError> {
+        Parser::new(input, true).document()
+    }
+}
+
+/// A compact JSON writer appending to a `String`: no whitespace, strings
+/// escaped and numbers spelled exactly as [`Json::to_compact`] spells them
+/// (it is built on this writer). Separators are implicit: call
+/// [`JsonWriter::key`] before each object member's value, and the writer
+/// inserts every `,` and `:`. The caller keeps the nesting balanced.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether the next value or key follows a sibling and needs a `,`.
+    comma: bool,
+}
+
+// The methods are tiny and called once per token from other crates' hot
+// encoders, hence `#[inline]` (which lets them inline across crates).
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    #[inline]
+    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter { out, comma: false }
+    }
+
+    /// Emit the `,` a value or key owes its preceding sibling.
+    #[inline]
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Open an array.
+    #[inline]
+    pub fn begin_arr(&mut self) {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+    }
+
+    /// Close the innermost array.
+    #[inline]
+    pub fn end_arr(&mut self) {
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    /// Open an object.
+    #[inline]
+    pub fn begin_obj(&mut self) {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+    }
+
+    /// Close the innermost object.
+    #[inline]
+    pub fn end_obj(&mut self) {
+        self.out.push('}');
+        self.comma = true;
+    }
+
+    /// Emit an object member's key; its value comes next.
+    #[inline]
+    pub fn key(&mut self, key: &str) {
+        self.separate();
+        write_string(self.out, key);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    /// Emit `null`.
+    #[inline]
+    pub fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// Emit `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self, value: bool) {
+        self.raw(if value { "true" } else { "false" });
+    }
+
+    /// Emit an unsigned integer, spelled as [`Json::from_u64`] spells it.
+    #[inline]
+    pub fn u64(&mut self, value: u64) {
+        self.separate();
+        push_u64(self.out, value);
+    }
+
+    /// Emit a signed integer, spelled as [`Json::from_i64`] spells it.
+    #[inline]
+    pub fn i64(&mut self, value: i64) {
+        self.separate();
+        if value < 0 {
+            self.out.push('-');
+        }
+        push_u64(self.out, value.unsigned_abs());
+    }
+
+    /// Emit a string.
+    #[inline]
+    pub fn str(&mut self, value: &str) {
+        self.separate();
+        write_string(self.out, value);
+    }
+
+    /// Emit already-spelled JSON text as one value, verbatim: a number's
+    /// literal, or a document serialized earlier. The caller vouches that
+    /// `text` is one compact JSON value.
+    #[inline]
+    pub fn raw(&mut self, text: &str) {
+        self.separate();
+        self.out.push_str(text);
+    }
+
+    /// Emit a whole [`Json`] tree.
+    pub fn value(&mut self, json: &Json) {
+        match json {
+            Json::Null => self.null(),
+            Json::Bool(value) => self.bool(*value),
+            Json::Num(text) => self.raw(text),
+            Json::Str(value) => self.str(value),
+            Json::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr();
+            }
+            Json::Obj(pairs) => {
+                self.begin_obj();
+                for (key, value) in pairs {
+                    self.key(key);
+                    self.value(value);
+                }
+                self.end_obj();
+            }
+        }
+    }
+}
+
+/// Append the decimal spelling of `value` (what `u64::to_string` gives).
+#[inline]
+fn push_u64(out: &mut String, mut value: u64) {
+    // Most numbers in artifacts (registers, slots, small lines) are digits.
+    if value < 10 {
+        out.push(char::from(b'0' + value as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -244,19 +377,29 @@ fn push_indent(out: &mut String, indent: usize) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy each run of plain bytes in one go; every escaped byte is ASCII,
+    // so the run boundaries are always char boundaries.
+    let mut run = 0;
+    for (index, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..index]);
+        match escape {
+            Some(text) => out.push_str(text),
+            None => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
+        run = index + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -280,9 +423,30 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Value spans of the top-level object's members, when requested.
+    spans: Option<Vec<Range<usize>>>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str, spans: bool) -> Parser<'a> {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            spans: spans.then(Vec::new),
+        }
+    }
+
+    /// Exactly one value, surrounded by optional whitespace.
+    fn document(mut self) -> Result<(Json, Vec<Range<usize>>), JsonError> {
+        self.skip_whitespace();
+        let value = self.value(0)?;
+        self.skip_whitespace();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing content after the JSON value"));
+        }
+        Ok((value, self.spans.unwrap_or_default()))
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -372,7 +536,13 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
+            if depth == 0 {
+                if let Some(spans) = &mut self.spans {
+                    spans.push(start..self.pos);
+                }
+            }
             pairs.push((key, value));
             self.skip_whitespace();
             match self.peek() {
@@ -637,6 +807,89 @@ mod tests {
             Json::parse(r#""\uD800\uDC00""#).unwrap().as_str(),
             Some("\u{10000}")
         );
+    }
+
+    #[test]
+    fn writer_spells_exactly_what_to_compact_spells() {
+        let tricky = "q\" b\\ nl\n cr\r tab\t bell\u{7} del\u{7f} é 😀";
+        let tree = Json::Obj(vec![
+            ("max".to_owned(), Json::from_u64(u64::MAX)),
+            ("min".to_owned(), Json::from_i64(i64::MIN)),
+            (
+                "small".to_owned(),
+                Json::Arr(vec![
+                    Json::from_i64(0),
+                    Json::from_i64(-1),
+                    Json::from_u64(10),
+                ]),
+            ),
+            (tricky.to_owned(), Json::str(tricky)),
+            ("none".to_owned(), Json::Null),
+            (
+                "flags".to_owned(),
+                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
+            ),
+            (
+                "empty".to_owned(),
+                Json::Arr(vec![Json::Obj(vec![]), Json::Arr(vec![])]),
+            ),
+        ]);
+        let mut text = String::new();
+        let mut w = JsonWriter::new(&mut text);
+        w.begin_obj();
+        w.key("max");
+        w.u64(u64::MAX);
+        w.key("min");
+        w.i64(i64::MIN);
+        w.key("small");
+        w.begin_arr();
+        w.i64(0);
+        w.i64(-1);
+        w.u64(10);
+        w.end_arr();
+        w.key(tricky);
+        w.str(tricky);
+        w.key("none");
+        w.null();
+        w.key("flags");
+        w.begin_arr();
+        w.bool(true);
+        w.bool(false);
+        w.end_arr();
+        w.key("empty");
+        w.begin_arr();
+        w.begin_obj();
+        w.end_obj();
+        w.begin_arr();
+        w.end_arr();
+        w.end_arr();
+        w.end_obj();
+        assert_eq!(text, tree.to_compact());
+        assert_eq!(Json::parse(&text).unwrap(), tree);
+        // Spliced raw text lands verbatim as one value.
+        let mut spliced = String::new();
+        let mut w = JsonWriter::new(&mut spliced);
+        w.begin_arr();
+        w.raw(&text);
+        w.u64(1);
+        w.end_arr();
+        assert_eq!(spliced, format!("[{text},1]"));
+    }
+
+    #[test]
+    fn member_spans_cover_each_top_level_value_exactly() {
+        let text = r#" {"a" : [1, {"b": 2}], "c":"x\"y" ,"a":null} "#;
+        let (value, spans) = Json::parse_with_spans(text).unwrap();
+        assert_eq!(value, Json::parse(text).unwrap());
+        let members = value.as_obj().unwrap();
+        assert_eq!(spans.len(), members.len(), "nested members are not spanned");
+        for ((_, member), span) in members.iter().zip(&spans) {
+            assert_eq!(&Json::parse(&text[span.clone()]).unwrap(), member);
+        }
+        assert_eq!(&text[spans[0].clone()], r#"[1, {"b": 2}]"#);
+        assert_eq!(&text[spans[1].clone()], r#""x\"y""#);
+        assert!(Json::parse_with_spans("[1, 2]").unwrap().1.is_empty());
+        assert!(Json::parse_with_spans(r#"{"a": 1"#).is_err());
     }
 
     #[test]

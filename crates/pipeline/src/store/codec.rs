@@ -1,15 +1,18 @@
 //! JSON codecs for the artifacts the on-disk store spills: whole
 //! [`Executable`]s, [`DebugTrace`]s, and violation sets.
 //!
-//! Encoding is deterministic (a pure function of the value, like everything
-//! built on `holes_core::json`), and decoding is *total* over arbitrary
-//! JSON: every malformed shape comes back as an `Err` with a short reason,
-//! never a panic, so the store can treat a corrupted cache file as a miss.
+//! Encoding appends compact JSON text straight through a [`JsonWriter`], with
+//! no intermediate [`Json`] tree. It is deterministic (a pure function of
+//! the value) and canonical (the text is exactly what [`Json::to_compact`]
+//! spells for its own parse), which is what lets the store checksum the raw
+//! payload bytes. Decoding parses a tree and is *total* over arbitrary JSON:
+//! every malformed shape comes back as an `Err` with a short reason, never a
+//! panic, so the store can treat a corrupted cache file as a miss.
 //! Sum types use compact tagged arrays (`["r", 3]` for a register operand)
 //! to keep executables — the largest artifact — small on disk.
 
 use holes_compiler::{CompilerConfig, Executable, OptLevel, Personality, PipelineReport};
-use holes_core::json::Json;
+use holes_core::json::{Json, JsonWriter};
 use holes_core::{Observed, Violation};
 use holes_debugger::{Availability, DebugTrace, LineStop, VarView};
 use holes_debuginfo::{
@@ -98,13 +101,43 @@ fn tagged<'a>(json: &'a Json, what: &str) -> Result<(&'a str, &'a [Json]), Decod
     Ok((tag, &items[1..]))
 }
 
+/// Write a tagged array: `["tag", fields...]`.
+fn write_tagged(w: &mut JsonWriter, tag: &str, fields: impl FnOnce(&mut JsonWriter)) {
+    w.begin_arr();
+    w.str(tag);
+    fields(w);
+    w.end_arr();
+}
+
+fn write_opt_u64(w: &mut JsonWriter, value: Option<u64>) {
+    match value {
+        Some(value) => w.u64(value),
+        None => w.null(),
+    }
+}
+
+fn write_strings<'a>(w: &mut JsonWriter, items: impl IntoIterator<Item = &'a String>) {
+    w.begin_arr();
+    for item in items {
+        w.str(item);
+    }
+    w.end_arr();
+}
+
+fn write_call_target(w: &mut JsonWriter, target: CallTarget) {
+    match target {
+        CallTarget::Sink => w.null(),
+        CallTarget::Function(f) => w.u64(f.into()),
+    }
+}
+
 // --------------------------------------------------------------- operands
 
-fn operand_to_json(op: Operand) -> Json {
+fn write_operand(w: &mut JsonWriter, op: Operand) {
     match op {
-        Operand::Reg(r) => Json::Arr(vec![Json::str("r"), Json::from_u64(r.into())]),
-        Operand::Imm(v) => Json::Arr(vec![Json::str("i"), Json::from_i64(v)]),
-        Operand::Slot(s) => Json::Arr(vec![Json::str("s"), Json::from_u64(s.into())]),
+        Operand::Reg(r) => write_tagged(w, "r", |w| w.u64(r.into())),
+        Operand::Imm(v) => write_tagged(w, "i", |w| w.i64(v)),
+        Operand::Slot(s) => write_tagged(w, "s", |w| w.u64(s.into())),
     }
 }
 
@@ -121,20 +154,19 @@ fn operand_from_json(json: &Json) -> Result<Operand, DecodeError> {
     }
 }
 
-fn maddr_to_json(addr: MAddr) -> Json {
+fn write_maddr(w: &mut JsonWriter, addr: MAddr) {
     match addr {
         MAddr::Global {
             global,
             index,
             disp,
-        } => Json::Arr(vec![
-            Json::str("g"),
-            Json::from_u64(global.into()),
-            index.map_or(Json::Null, |r| Json::from_u64(r.into())),
-            Json::from_u64(disp.into()),
-        ]),
-        MAddr::Frame { slot } => Json::Arr(vec![Json::str("f"), Json::from_u64(slot.into())]),
-        MAddr::Indirect { reg } => Json::Arr(vec![Json::str("p"), Json::from_u64(reg.into())]),
+        } => write_tagged(w, "g", |w| {
+            w.u64(global.into());
+            write_opt_u64(w, index.map(u64::from));
+            w.u64(disp.into());
+        }),
+        MAddr::Frame { slot } => write_tagged(w, "f", |w| w.u64(slot.into())),
+        MAddr::Indirect { reg } => write_tagged(w, "p", |w| w.u64(reg.into())),
     }
 }
 
@@ -199,70 +231,67 @@ fn un_op_from_name(name: &str) -> Result<UnOp, DecodeError> {
 
 // ----------------------------------------------------------- instructions
 
-fn inst_to_json(inst: &MInst) -> Json {
-    let reg = |r: u8| Json::from_u64(r.into());
+fn write_inst(w: &mut JsonWriter, inst: &MInst) {
     match inst {
-        MInst::Nop => Json::Arr(vec![Json::str("nop")]),
-        MInst::LoadImm { dst, value } => {
-            Json::Arr(vec![Json::str("li"), reg(*dst), Json::from_i64(*value)])
-        }
-        MInst::Mov { dst, src } => {
-            Json::Arr(vec![Json::str("mov"), reg(*dst), operand_to_json(*src)])
-        }
-        MInst::Bin { op, dst, lhs, rhs } => Json::Arr(vec![
-            Json::str("bin"),
-            Json::str(bin_op_name(*op)),
-            reg(*dst),
-            operand_to_json(*lhs),
-            operand_to_json(*rhs),
-        ]),
-        MInst::Un { op, dst, src } => Json::Arr(vec![
-            Json::str("un"),
-            Json::str(un_op_name(*op)),
-            reg(*dst),
-            operand_to_json(*src),
-        ]),
-        MInst::Trunc { dst, bits, signed } => Json::Arr(vec![
-            Json::str("trunc"),
-            reg(*dst),
-            Json::from_u64((*bits).into()),
-            Json::Bool(*signed),
-        ]),
-        MInst::Load { dst, addr } => {
-            Json::Arr(vec![Json::str("ld"), reg(*dst), maddr_to_json(*addr)])
-        }
-        MInst::Store { addr, src } => Json::Arr(vec![
-            Json::str("st"),
-            maddr_to_json(*addr),
-            operand_to_json(*src),
-        ]),
-        MInst::Lea { dst, addr } => {
-            Json::Arr(vec![Json::str("lea"), reg(*dst), maddr_to_json(*addr)])
-        }
-        MInst::Jump { target } => Json::Arr(vec![Json::str("j"), Json::from_u64((*target).into())]),
-        MInst::BranchZero { cond, target } => Json::Arr(vec![
-            Json::str("bz"),
-            reg(*cond),
-            Json::from_u64((*target).into()),
-        ]),
-        MInst::BranchNonZero { cond, target } => Json::Arr(vec![
-            Json::str("bnz"),
-            reg(*cond),
-            Json::from_u64((*target).into()),
-        ]),
-        MInst::Call { target, args, ret } => Json::Arr(vec![
-            Json::str("call"),
-            match target {
-                CallTarget::Sink => Json::Null,
-                CallTarget::Function(f) => Json::from_u64((*f).into()),
-            },
-            Json::Arr(args.iter().map(|a| operand_to_json(*a)).collect()),
-            ret.map_or(Json::Null, |r| Json::from_u64(r.into())),
-        ]),
-        MInst::Ret { value } => Json::Arr(vec![
-            Json::str("ret"),
-            value.map_or(Json::Null, operand_to_json),
-        ]),
+        MInst::Nop => write_tagged(w, "nop", |_| {}),
+        MInst::LoadImm { dst, value } => write_tagged(w, "li", |w| {
+            w.u64((*dst).into());
+            w.i64(*value);
+        }),
+        MInst::Mov { dst, src } => write_tagged(w, "mov", |w| {
+            w.u64((*dst).into());
+            write_operand(w, *src);
+        }),
+        MInst::Bin { op, dst, lhs, rhs } => write_tagged(w, "bin", |w| {
+            w.str(bin_op_name(*op));
+            w.u64((*dst).into());
+            write_operand(w, *lhs);
+            write_operand(w, *rhs);
+        }),
+        MInst::Un { op, dst, src } => write_tagged(w, "un", |w| {
+            w.str(un_op_name(*op));
+            w.u64((*dst).into());
+            write_operand(w, *src);
+        }),
+        MInst::Trunc { dst, bits, signed } => write_tagged(w, "trunc", |w| {
+            w.u64((*dst).into());
+            w.u64((*bits).into());
+            w.bool(*signed);
+        }),
+        MInst::Load { dst, addr } => write_tagged(w, "ld", |w| {
+            w.u64((*dst).into());
+            write_maddr(w, *addr);
+        }),
+        MInst::Store { addr, src } => write_tagged(w, "st", |w| {
+            write_maddr(w, *addr);
+            write_operand(w, *src);
+        }),
+        MInst::Lea { dst, addr } => write_tagged(w, "lea", |w| {
+            w.u64((*dst).into());
+            write_maddr(w, *addr);
+        }),
+        MInst::Jump { target } => write_tagged(w, "j", |w| w.u64((*target).into())),
+        MInst::BranchZero { cond, target } => write_tagged(w, "bz", |w| {
+            w.u64((*cond).into());
+            w.u64((*target).into());
+        }),
+        MInst::BranchNonZero { cond, target } => write_tagged(w, "bnz", |w| {
+            w.u64((*cond).into());
+            w.u64((*target).into());
+        }),
+        MInst::Call { target, args, ret } => write_tagged(w, "call", |w| {
+            write_call_target(w, *target);
+            w.begin_arr();
+            for arg in args {
+                write_operand(w, *arg);
+            }
+            w.end_arr();
+            write_opt_u64(w, ret.map(u64::from));
+        }),
+        MInst::Ret { value } => write_tagged(w, "ret", |w| match value {
+            Some(op) => write_operand(w, *op),
+            None => w.null(),
+        }),
     }
 }
 
@@ -344,25 +373,29 @@ fn inst_from_json(json: &Json) -> Result<MInst, DecodeError> {
 
 // -------------------------------------------------------- machine program
 
-fn globals_to_json(globals: &[GlobalSlot]) -> Json {
-    Json::Arr(
-        globals
-            .iter()
-            .map(|g| {
-                Json::Obj(vec![
-                    ("name".to_owned(), Json::str(g.name.clone())),
-                    ("elements".to_owned(), Json::from_usize(g.elements)),
-                    (
-                        "init".to_owned(),
-                        Json::Arr(g.init.iter().map(|&v| Json::from_i64(v)).collect()),
-                    ),
-                    ("bits".to_owned(), Json::from_u64(g.bits.into())),
-                    ("signed".to_owned(), Json::Bool(g.signed)),
-                    ("volatile".to_owned(), Json::Bool(g.volatile)),
-                ])
-            })
-            .collect(),
-    )
+fn write_globals(w: &mut JsonWriter, globals: &[GlobalSlot]) {
+    w.begin_arr();
+    for g in globals {
+        w.begin_obj();
+        w.key("name");
+        w.str(&g.name);
+        w.key("elements");
+        w.u64(g.elements as u64);
+        w.key("init");
+        w.begin_arr();
+        for &value in &g.init {
+            w.i64(value);
+        }
+        w.end_arr();
+        w.key("bits");
+        w.u64(g.bits.into());
+        w.key("signed");
+        w.bool(g.signed);
+        w.key("volatile");
+        w.bool(g.volatile);
+        w.end_obj();
+    }
+    w.end_arr();
 }
 
 fn globals_from_json(json: &Json) -> Result<Vec<GlobalSlot>, DecodeError> {
@@ -389,34 +422,38 @@ fn globals_from_json(json: &Json) -> Result<Vec<GlobalSlot>, DecodeError> {
         .collect()
 }
 
-fn machine_to_json(program: &MachineProgram) -> Json {
-    Json::Obj(vec![
-        (
-            "functions".to_owned(),
-            Json::Arr(
-                program
-                    .functions
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("name".to_owned(), Json::str(f.name.clone())),
-                            (
-                                "code".to_owned(),
-                                Json::Arr(f.code.iter().map(inst_to_json).collect()),
-                            ),
-                            (
-                                "frame_slots".to_owned(),
-                                Json::from_u64(f.frame_slots.into()),
-                            ),
-                            ("base_address".to_owned(), Json::from_u64(f.base_address)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("globals".to_owned(), globals_to_json(&program.globals)),
-        ("entry".to_owned(), Json::from_u64(program.entry.into())),
-    ])
+/// Write a register-ISA program; `backend` is the tag leading the object
+/// (none for the register backend, `frame` for the frame backend).
+fn write_machine(w: &mut JsonWriter, program: &MachineProgram, backend: Option<&str>) {
+    w.begin_obj();
+    if let Some(tag) = backend {
+        w.key("backend");
+        w.str(tag);
+    }
+    w.key("functions");
+    w.begin_arr();
+    for f in &program.functions {
+        w.begin_obj();
+        w.key("name");
+        w.str(&f.name);
+        w.key("code");
+        w.begin_arr();
+        for inst in &f.code {
+            write_inst(w, inst);
+        }
+        w.end_arr();
+        w.key("frame_slots");
+        w.u64(f.frame_slots.into());
+        w.key("base_address");
+        w.u64(f.base_address);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("globals");
+    write_globals(w, &program.globals);
+    w.key("entry");
+    w.u64(program.entry.into());
+    w.end_obj();
 }
 
 fn machine_from_json(json: &Json) -> Result<MachineProgram, DecodeError> {
@@ -448,54 +485,46 @@ fn machine_from_json(json: &Json) -> Result<MachineProgram, DecodeError> {
 
 // ---------------------------------------------------- stack-VM program
 
-fn sinst_to_json(inst: SInst) -> Json {
-    let one = |tag: &str, v: Json| Json::Arr(vec![Json::str(tag), v]);
+fn write_sinst(w: &mut JsonWriter, inst: SInst) {
     match inst {
-        SInst::Nop => Json::Arr(vec![Json::str("nop")]),
-        SInst::PushImm(v) => one("pi", Json::from_i64(v)),
-        SInst::PushReg(r) => one("pr", Json::from_u64(r.into())),
-        SInst::PopReg(r) => one("qr", Json::from_u64(r.into())),
-        SInst::PushSlot(s) => one("ps", Json::from_u64(s.into())),
-        SInst::PopSlot(s) => one("qs", Json::from_u64(s.into())),
-        SInst::Drop => Json::Arr(vec![Json::str("drop")]),
-        SInst::Bin(op) => one("bin", Json::str(bin_op_name(op))),
-        SInst::Un(op) => one("un", Json::str(un_op_name(op))),
-        SInst::Trunc { bits, signed } => Json::Arr(vec![
-            Json::str("trunc"),
-            Json::from_u64(bits.into()),
-            Json::Bool(signed),
-        ]),
-        SInst::LoadGlobal { global, indexed } => Json::Arr(vec![
-            Json::str("lg"),
-            Json::from_u64(global.into()),
-            Json::Bool(indexed),
-        ]),
-        SInst::StoreGlobal { global, indexed } => Json::Arr(vec![
-            Json::str("sg"),
-            Json::from_u64(global.into()),
-            Json::Bool(indexed),
-        ]),
-        SInst::LoadInd => Json::Arr(vec![Json::str("ldi")]),
-        SInst::StoreInd => Json::Arr(vec![Json::str("sti")]),
-        SInst::PushGlobalAddr { global } => one("pga", Json::from_u64(global.into())),
-        SInst::PushSlotAddr(s) => one("psa", Json::from_u64(s.into())),
-        SInst::Jump { target } => one("j", Json::from_u64(target.into())),
-        SInst::BranchZero { target } => one("bz", Json::from_u64(target.into())),
-        SInst::BranchNonZero { target } => one("bnz", Json::from_u64(target.into())),
+        SInst::Nop => write_tagged(w, "nop", |_| {}),
+        SInst::PushImm(v) => write_tagged(w, "pi", |w| w.i64(v)),
+        SInst::PushReg(r) => write_tagged(w, "pr", |w| w.u64(r.into())),
+        SInst::PopReg(r) => write_tagged(w, "qr", |w| w.u64(r.into())),
+        SInst::PushSlot(s) => write_tagged(w, "ps", |w| w.u64(s.into())),
+        SInst::PopSlot(s) => write_tagged(w, "qs", |w| w.u64(s.into())),
+        SInst::Drop => write_tagged(w, "drop", |_| {}),
+        SInst::Bin(op) => write_tagged(w, "bin", |w| w.str(bin_op_name(op))),
+        SInst::Un(op) => write_tagged(w, "un", |w| w.str(un_op_name(op))),
+        SInst::Trunc { bits, signed } => write_tagged(w, "trunc", |w| {
+            w.u64(bits.into());
+            w.bool(signed);
+        }),
+        SInst::LoadGlobal { global, indexed } => write_tagged(w, "lg", |w| {
+            w.u64(global.into());
+            w.bool(indexed);
+        }),
+        SInst::StoreGlobal { global, indexed } => write_tagged(w, "sg", |w| {
+            w.u64(global.into());
+            w.bool(indexed);
+        }),
+        SInst::LoadInd => write_tagged(w, "ldi", |_| {}),
+        SInst::StoreInd => write_tagged(w, "sti", |_| {}),
+        SInst::PushGlobalAddr { global } => write_tagged(w, "pga", |w| w.u64(global.into())),
+        SInst::PushSlotAddr(s) => write_tagged(w, "psa", |w| w.u64(s.into())),
+        SInst::Jump { target } => write_tagged(w, "j", |w| w.u64(target.into())),
+        SInst::BranchZero { target } => write_tagged(w, "bz", |w| w.u64(target.into())),
+        SInst::BranchNonZero { target } => write_tagged(w, "bnz", |w| w.u64(target.into())),
         SInst::Call {
             target,
             argc,
             has_ret,
-        } => Json::Arr(vec![
-            Json::str("call"),
-            match target {
-                CallTarget::Sink => Json::Null,
-                CallTarget::Function(f) => Json::from_u64(f.into()),
-            },
-            Json::from_u64(argc.into()),
-            Json::Bool(has_ret),
-        ]),
-        SInst::Ret { has_value } => one("ret", Json::Bool(has_value)),
+        } => write_tagged(w, "call", |w| {
+            write_call_target(w, target);
+            w.u64(argc.into());
+            w.bool(has_ret);
+        }),
+        SInst::Ret { has_value } => write_tagged(w, "ret", |w| w.bool(has_value)),
     }
 }
 
@@ -565,36 +594,36 @@ fn sinst_from_json(json: &Json) -> Result<SInst, DecodeError> {
     }
 }
 
-fn stack_program_to_json(program: &StackProgram) -> Json {
-    Json::Obj(vec![
-        ("backend".to_owned(), Json::str("stack")),
-        (
-            "functions".to_owned(),
-            Json::Arr(
-                program
-                    .functions
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("name".to_owned(), Json::str(f.name.clone())),
-                            (
-                                "code".to_owned(),
-                                Json::Arr(f.code.iter().map(|&i| sinst_to_json(i)).collect()),
-                            ),
-                            (
-                                "frame_slots".to_owned(),
-                                Json::from_u64(f.frame_slots.into()),
-                            ),
-                            ("param_base".to_owned(), Json::from_u64(f.param_base.into())),
-                            ("base_address".to_owned(), Json::from_u64(f.base_address)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("globals".to_owned(), globals_to_json(&program.globals)),
-        ("entry".to_owned(), Json::from_u64(program.entry.into())),
-    ])
+fn write_stack_program(w: &mut JsonWriter, program: &StackProgram) {
+    w.begin_obj();
+    w.key("backend");
+    w.str("stack");
+    w.key("functions");
+    w.begin_arr();
+    for f in &program.functions {
+        w.begin_obj();
+        w.key("name");
+        w.str(&f.name);
+        w.key("code");
+        w.begin_arr();
+        for &inst in &f.code {
+            write_sinst(w, inst);
+        }
+        w.end_arr();
+        w.key("frame_slots");
+        w.u64(f.frame_slots.into());
+        w.key("param_base");
+        w.u64(f.param_base.into());
+        w.key("base_address");
+        w.u64(f.base_address);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("globals");
+    write_globals(w, &program.globals);
+    w.key("entry");
+    w.u64(program.entry.into());
+    w.end_obj();
 }
 
 fn stack_program_from_json(json: &Json) -> Result<StackProgram, DecodeError> {
@@ -678,21 +707,15 @@ fn validate_location_registers(debug: &DebugInfo, reg_limit: usize) -> Result<()
     Ok(())
 }
 
-/// Encode a backend's machine code. Register programs keep the pre-backend
+/// Write a backend's machine code. Register programs keep the pre-backend
 /// object shape (no tag), so existing store files stay valid byte-for-byte;
 /// stack and frame programs carry a `"backend"` marker.
-fn code_to_json(code: &MachineCode) -> Json {
+fn write_code(w: &mut JsonWriter, code: &MachineCode) {
     match code {
-        MachineCode::Reg(program) => machine_to_json(program),
-        MachineCode::Stack(program) => stack_program_to_json(program),
-        MachineCode::Frame(program) => {
-            // Same register-ISA object shape, distinguished only by the tag.
-            let mut json = machine_to_json(program);
-            if let Json::Obj(pairs) = &mut json {
-                pairs.insert(0, ("backend".to_owned(), Json::str("frame")));
-            }
-            json
-        }
+        MachineCode::Reg(program) => write_machine(w, program, None),
+        MachineCode::Stack(program) => write_stack_program(w, program),
+        // Same register-ISA object shape, distinguished only by the tag.
+        MachineCode::Frame(program) => write_machine(w, program, Some("frame")),
     }
 }
 
@@ -711,22 +734,19 @@ fn code_from_json(json: &Json) -> Result<MachineCode, DecodeError> {
 
 // -------------------------------------------------------------- locations
 
-fn location_to_json(location: Location) -> Json {
+fn write_location(w: &mut JsonWriter, location: Location) {
     match location {
-        Location::Register(r) => Json::Arr(vec![Json::str("reg"), Json::from_u64(r.into())]),
-        Location::FrameSlot(s) => Json::Arr(vec![Json::str("slot"), Json::from_u64(s.into())]),
-        Location::GlobalAddress(a) => Json::Arr(vec![Json::str("addr"), Json::from_u64(a)]),
-        Location::ConstValue(c) => Json::Arr(vec![Json::str("const"), Json::from_i64(c)]),
-        Location::Empty => Json::Arr(vec![Json::str("empty")]),
-        Location::FrameBase { offset } => {
-            Json::Arr(vec![Json::str("fb"), Json::from_i64(offset.into())])
-        }
-        Location::Composite { reg, offset, deref } => Json::Arr(vec![
-            Json::str("cx"),
-            Json::from_u64(reg.into()),
-            Json::from_i64(offset),
-            Json::Bool(deref),
-        ]),
+        Location::Register(r) => write_tagged(w, "reg", |w| w.u64(r.into())),
+        Location::FrameSlot(s) => write_tagged(w, "slot", |w| w.u64(s.into())),
+        Location::GlobalAddress(a) => write_tagged(w, "addr", |w| w.u64(a)),
+        Location::ConstValue(c) => write_tagged(w, "const", |w| w.i64(c)),
+        Location::Empty => write_tagged(w, "empty", |_| {}),
+        Location::FrameBase { offset } => write_tagged(w, "fb", |w| w.i64(offset.into())),
+        Location::Composite { reg, offset, deref } => write_tagged(w, "cx", |w| {
+            w.u64(reg.into());
+            w.i64(offset);
+            w.bool(deref);
+        }),
     }
 }
 
@@ -751,19 +771,16 @@ fn location_from_json(json: &Json) -> Result<Location, DecodeError> {
     }
 }
 
-fn loclist_to_json(entries: &[LocListEntry]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|e| {
-                Json::Arr(vec![
-                    Json::from_u64(e.start),
-                    Json::from_u64(e.end),
-                    location_to_json(e.location),
-                ])
-            })
-            .collect(),
-    )
+fn write_loclist(w: &mut JsonWriter, entries: &[LocListEntry]) {
+    w.begin_arr();
+    for entry in entries {
+        w.begin_arr();
+        w.u64(entry.start);
+        w.u64(entry.end);
+        write_location(w, entry.location);
+        w.end_arr();
+    }
+    w.end_arr();
 }
 
 fn loclist_from_json(json: &Json) -> Result<Vec<LocListEntry>, DecodeError> {
@@ -841,15 +858,15 @@ fn attr_from_name(name: &str) -> Result<Attr, DecodeError> {
     .ok_or_else(|| format!("unknown attribute `{name}`"))
 }
 
-fn attr_value_to_json(value: &AttrValue) -> Json {
+fn write_attr_value(w: &mut JsonWriter, value: &AttrValue) {
     match value {
-        AttrValue::Text(s) => Json::Arr(vec![Json::str("text"), Json::str(s.clone())]),
-        AttrValue::Addr(a) => Json::Arr(vec![Json::str("addr"), Json::from_u64(*a)]),
-        AttrValue::Unsigned(u) => Json::Arr(vec![Json::str("u"), Json::from_u64(*u)]),
-        AttrValue::Signed(s) => Json::Arr(vec![Json::str("s"), Json::from_i64(*s)]),
-        AttrValue::Flag(b) => Json::Arr(vec![Json::str("flag"), Json::Bool(*b)]),
-        AttrValue::Ref(d) => Json::Arr(vec![Json::str("ref"), Json::from_usize(d.0)]),
-        AttrValue::LocList(entries) => Json::Arr(vec![Json::str("loc"), loclist_to_json(entries)]),
+        AttrValue::Text(s) => write_tagged(w, "text", |w| w.str(s)),
+        AttrValue::Addr(a) => write_tagged(w, "addr", |w| w.u64(*a)),
+        AttrValue::Unsigned(u) => write_tagged(w, "u", |w| w.u64(*u)),
+        AttrValue::Signed(s) => write_tagged(w, "s", |w| w.i64(*s)),
+        AttrValue::Flag(b) => write_tagged(w, "flag", |w| w.bool(*b)),
+        AttrValue::Ref(d) => write_tagged(w, "ref", |w| w.u64(d.0 as u64)),
+        AttrValue::LocList(entries) => write_tagged(w, "loc", |w| write_loclist(w, entries)),
     }
 }
 
@@ -872,57 +889,47 @@ fn attr_value_from_json(json: &Json) -> Result<AttrValue, DecodeError> {
     }
 }
 
-fn debug_info_to_json(debug: &DebugInfo) -> Json {
-    let dies = debug
-        .iter()
-        .map(|(_, die)| {
-            Json::Obj(vec![
-                ("tag".to_owned(), Json::str(die_tag_name(die.tag))),
-                (
-                    "attrs".to_owned(),
-                    Json::Arr(
-                        die.attrs
-                            .iter()
-                            .map(|(attr, value)| {
-                                Json::Arr(vec![
-                                    Json::str(attr_name(*attr)),
-                                    attr_value_to_json(value),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "children".to_owned(),
-                    Json::Arr(die.children.iter().map(|c| Json::from_usize(c.0)).collect()),
-                ),
-                (
-                    "parent".to_owned(),
-                    die.parent.map_or(Json::Null, |p| Json::from_usize(p.0)),
-                ),
-            ])
-        })
-        .collect();
-    let rows = debug
-        .line_table
-        .rows()
-        .iter()
-        .map(|row| {
-            Json::Arr(vec![
-                Json::from_u64(row.address),
-                Json::from_u64(row.line.into()),
-                Json::Bool(row.is_stmt),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "source_name".to_owned(),
-            Json::str(debug.source_name.clone()),
-        ),
-        ("dies".to_owned(), Json::Arr(dies)),
-        ("line_table".to_owned(), Json::Arr(rows)),
-    ])
+fn write_debug_info(w: &mut JsonWriter, debug: &DebugInfo) {
+    w.begin_obj();
+    w.key("source_name");
+    w.str(&debug.source_name);
+    w.key("dies");
+    w.begin_arr();
+    for (_, die) in debug.iter() {
+        w.begin_obj();
+        w.key("tag");
+        w.str(die_tag_name(die.tag));
+        w.key("attrs");
+        w.begin_arr();
+        for (attr, value) in &die.attrs {
+            w.begin_arr();
+            w.str(attr_name(*attr));
+            write_attr_value(w, value);
+            w.end_arr();
+        }
+        w.end_arr();
+        w.key("children");
+        w.begin_arr();
+        for child in &die.children {
+            w.u64(child.0 as u64);
+        }
+        w.end_arr();
+        w.key("parent");
+        write_opt_u64(w, die.parent.map(|p| p.0 as u64));
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("line_table");
+    w.begin_arr();
+    for row in debug.line_table.rows() {
+        w.begin_arr();
+        w.u64(row.address);
+        w.u64(row.line.into());
+        w.bool(row.is_stmt);
+        w.end_arr();
+    }
+    w.end_arr();
+    w.end_obj();
 }
 
 fn debug_info_from_json(json: &Json) -> Result<DebugInfo, DecodeError> {
@@ -969,39 +976,27 @@ fn debug_info_from_json(json: &Json) -> Result<DebugInfo, DecodeError> {
 
 // --------------------------------------------------------- configurations
 
-fn config_to_json(config: &CompilerConfig) -> Json {
-    let mut pairs = vec![
-        (
-            "personality".to_owned(),
-            Json::str(config.personality.name()),
-        ),
-        ("version".to_owned(), Json::str(config.version_name())),
-        ("level".to_owned(), Json::str(config.level.flag())),
-        (
-            "disabled_passes".to_owned(),
-            Json::Arr(
-                config
-                    .disabled_passes
-                    .iter()
-                    .map(|p| Json::str(p.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "pass_budget".to_owned(),
-            config.pass_budget.map_or(Json::Null, Json::from_usize),
-        ),
-        (
-            "disable_defects".to_owned(),
-            Json::Bool(config.disable_defects),
-        ),
-    ];
+fn write_config(w: &mut JsonWriter, config: &CompilerConfig) {
+    w.begin_obj();
+    w.key("personality");
+    w.str(config.personality.name());
+    w.key("version");
+    w.str(config.version_name());
+    w.key("level");
+    w.str(config.level.flag());
+    w.key("disabled_passes");
+    write_strings(w, &config.disabled_passes);
+    w.key("pass_budget");
+    write_opt_u64(w, config.pass_budget.map(|budget| budget as u64));
+    w.key("disable_defects");
+    w.bool(config.disable_defects);
     // Like the fingerprint encoding: only a non-default backend extends the
     // shape, keeping register-backend store files byte-identical.
     if config.backend != holes_compiler::BackendKind::Reg {
-        pairs.push(("backend".to_owned(), Json::str(config.backend.name())));
+        w.key("backend");
+        w.str(config.backend.name());
     }
-    Json::Obj(pairs)
+    w.end_obj();
 }
 
 fn config_from_json(json: &Json) -> Result<CompilerConfig, DecodeError> {
@@ -1034,32 +1029,30 @@ fn config_from_json(json: &Json) -> Result<CompilerConfig, DecodeError> {
 
 // ------------------------------------------------------------ executables
 
-/// Encode a whole executable (machine program, debug information, producing
-/// configuration, and pipeline report).
-pub(super) fn executable_to_json(executable: &Executable) -> Json {
-    let strings =
-        |items: &[String]| Json::Arr(items.iter().map(|s| Json::str(s.clone())).collect());
-    Json::Obj(vec![
-        ("machine".to_owned(), code_to_json(&executable.machine)),
-        ("debug".to_owned(), debug_info_to_json(&executable.debug)),
-        ("config".to_owned(), config_to_json(&executable.config)),
-        (
-            "report".to_owned(),
-            Json::Obj(vec![
-                (
-                    "passes_run".to_owned(),
-                    strings(&executable.report.passes_run),
-                ),
-                (
-                    "defects_applied".to_owned(),
-                    strings(&executable.report.defects_applied),
-                ),
-            ]),
-        ),
-    ])
+/// The compact JSON text of a whole executable (machine program, debug
+/// information, producing configuration, and pipeline report).
+pub(super) fn executable_to_json(executable: &Executable) -> String {
+    let mut out = String::new();
+    let w = &mut JsonWriter::new(&mut out);
+    w.begin_obj();
+    w.key("machine");
+    write_code(w, &executable.machine);
+    w.key("debug");
+    write_debug_info(w, &executable.debug);
+    w.key("config");
+    write_config(w, &executable.config);
+    w.key("report");
+    w.begin_obj();
+    w.key("passes_run");
+    write_strings(w, &executable.report.passes_run);
+    w.key("defects_applied");
+    write_strings(w, &executable.report.defects_applied);
+    w.end_obj();
+    w.end_obj();
+    out
 }
 
-/// Decode an executable encoded by [`executable_to_json`].
+/// Decode an executable written by [`executable_to_json`].
 pub(super) fn executable_from_json(json: &Json) -> Result<Executable, DecodeError> {
     let report = get(json, "report")?;
     let strings = |key: &str| -> Result<Vec<String>, DecodeError> {
@@ -1098,59 +1091,49 @@ pub(super) fn executable_from_json(json: &Json) -> Result<Executable, DecodeErro
 
 // ----------------------------------------------------------------- traces
 
-/// Encode a debug trace (stops in execution order plus the steppable-line
-/// set; the reached-line index is derivable and not stored).
-pub(super) fn trace_to_json(trace: &DebugTrace) -> Json {
-    Json::Obj(vec![
-        (
-            "stops".to_owned(),
-            Json::Arr(
-                trace
-                    .stops
-                    .iter()
-                    .map(|stop| {
-                        Json::Obj(vec![
-                            ("line".to_owned(), Json::from_u64(stop.line.into())),
-                            ("address".to_owned(), Json::from_u64(stop.address)),
-                            ("function".to_owned(), Json::str(stop.function.as_ref())),
-                            (
-                                "variables".to_owned(),
-                                Json::Arr(
-                                    stop.variables
-                                        .iter()
-                                        .map(|v| {
-                                            Json::Arr(vec![
-                                                Json::str(v.name.as_ref()),
-                                                match v.availability {
-                                                    Availability::Available(value) => {
-                                                        Json::from_i64(value)
-                                                    }
-                                                    Availability::OptimizedOut => Json::Null,
-                                                },
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "steppable_lines".to_owned(),
-            Json::Arr(
-                trace
-                    .steppable_lines
-                    .iter()
-                    .map(|&l| Json::from_u64(l.into()))
-                    .collect(),
-            ),
-        ),
-    ])
+/// The compact JSON text of a debug trace (stops in execution order plus
+/// the steppable-line set; the reached-line index is derivable and not
+/// stored).
+pub(super) fn trace_to_json(trace: &DebugTrace) -> String {
+    let mut out = String::new();
+    let w = &mut JsonWriter::new(&mut out);
+    w.begin_obj();
+    w.key("stops");
+    w.begin_arr();
+    for stop in &trace.stops {
+        w.begin_obj();
+        w.key("line");
+        w.u64(stop.line.into());
+        w.key("address");
+        w.u64(stop.address);
+        w.key("function");
+        w.str(&stop.function);
+        w.key("variables");
+        w.begin_arr();
+        for variable in &stop.variables {
+            w.begin_arr();
+            w.str(&variable.name);
+            match variable.availability {
+                Availability::Available(value) => w.i64(value),
+                Availability::OptimizedOut => w.null(),
+            }
+            w.end_arr();
+        }
+        w.end_arr();
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("steppable_lines");
+    w.begin_arr();
+    for &line in &trace.steppable_lines {
+        w.u64(line.into());
+    }
+    w.end_arr();
+    w.end_obj();
+    out
 }
 
-/// Decode a trace encoded by [`trace_to_json`], rebuilding the reached-line
+/// Decode a trace written by [`trace_to_json`], rebuilding the reached-line
 /// index exactly as the live debugger does (first stop per line wins).
 pub(super) fn trace_from_json(json: &Json) -> Result<DebugTrace, DecodeError> {
     let stops = arr_field(json, "stops")?
@@ -1193,25 +1176,30 @@ pub(super) fn trace_from_json(json: &Json) -> Result<DebugTrace, DecodeError> {
 
 // ------------------------------------------------------------- violations
 
-/// Encode a full violation set.
-pub(super) fn violations_to_json(violations: &[Violation]) -> Json {
-    Json::Arr(
-        violations
-            .iter()
-            .map(|v| {
-                Json::Obj(vec![
-                    ("conjecture".to_owned(), Json::str(v.conjecture.to_string())),
-                    ("line".to_owned(), Json::from_u64(v.line.into())),
-                    ("variable".to_owned(), Json::str(v.variable.as_ref())),
-                    ("function".to_owned(), Json::from_usize(v.function.0)),
-                    ("observed".to_owned(), Json::str(v.observed.name())),
-                ])
-            })
-            .collect(),
-    )
+/// The compact JSON text of a full violation set.
+pub(super) fn violations_to_json(violations: &[Violation]) -> String {
+    let mut out = String::new();
+    let w = &mut JsonWriter::new(&mut out);
+    w.begin_arr();
+    for v in violations {
+        w.begin_obj();
+        w.key("conjecture");
+        w.str(&v.conjecture.to_string());
+        w.key("line");
+        w.u64(v.line.into());
+        w.key("variable");
+        w.str(&v.variable);
+        w.key("function");
+        w.u64(v.function.0 as u64);
+        w.key("observed");
+        w.str(v.observed.name());
+        w.end_obj();
+    }
+    w.end_arr();
+    out
 }
 
-/// Decode a violation set encoded by [`violations_to_json`].
+/// Decode a violation set written by [`violations_to_json`].
 pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, DecodeError> {
     json.as_arr()
         .ok_or("violation set is not an array")?
@@ -1237,8 +1225,16 @@ pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, Decode
 mod tests {
     use super::*;
     use holes_compiler::compile;
+    use holes_compiler::BackendKind;
     use holes_debugger::{trace, DebuggerKind};
     use holes_progen::ProgramGenerator;
+    use proptest::prelude::*;
+
+    use crate::Subject;
+
+    fn parsed(text: &str) -> Json {
+        Json::parse(text).expect("writers emit valid JSON")
+    }
 
     fn sample_executables() -> Vec<Executable> {
         let generated = ProgramGenerator::from_seed(11).generate();
@@ -1265,7 +1261,7 @@ mod tests {
     fn executables_round_trip_exactly() {
         for executable in sample_executables() {
             let encoded = executable_to_json(&executable);
-            let decoded = executable_from_json(&encoded).expect("decode");
+            let decoded = executable_from_json(&parsed(&encoded)).expect("decode");
             assert_eq!(decoded.machine, executable.machine);
             assert_eq!(decoded.debug, executable.debug);
             assert_eq!(decoded.config, executable.config);
@@ -1275,10 +1271,7 @@ mod tests {
                 executable.report.defects_applied
             );
             // And the re-encoding is byte-identical (determinism).
-            assert_eq!(
-                executable_to_json(&decoded).to_compact(),
-                encoded.to_compact()
-            );
+            assert_eq!(executable_to_json(&decoded), encoded);
         }
     }
 
@@ -1287,11 +1280,63 @@ mod tests {
         for executable in sample_executables() {
             for kind in [DebuggerKind::GdbLike, DebuggerKind::LldbLike] {
                 let original = trace(&executable, kind);
-                let decoded = trace_from_json(&trace_to_json(&original)).expect("decode");
+                let encoded = trace_to_json(&original);
+                let decoded = trace_from_json(&parsed(&encoded)).expect("decode");
                 assert_eq!(decoded.stops, original.stops);
                 assert_eq!(decoded.steppable_lines, original.steppable_lines);
                 assert_eq!(decoded.reached, original.reached);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every writer's text is canonical — exactly what
+        /// `Json::to_compact` spells for its own parse — and decodes back
+        /// to the artifact it was written from, over random programs,
+        /// personalities, levels, backends and configuration variants.
+        /// Canonical text is what makes the store's checksum over the raw
+        /// payload bytes equal to a checksum over the re-serialized
+        /// payload.
+        #[test]
+        fn writers_emit_canonical_text_that_decodes_to_the_original(
+            seed in 0u64..1_000_000,
+            personality in 0usize..2,
+            level in 0usize..6,
+            backend in 0usize..3,
+            variant in 0usize..4,
+        ) {
+            let personality = [Personality::Ccg, Personality::Lcc][personality];
+            let levels = personality.levels();
+            let backend = [BackendKind::Reg, BackendKind::Stack, BackendKind::Frame][backend];
+            let config = CompilerConfig::new(personality, levels[level % levels.len()])
+                .with_backend(backend);
+            let config = match variant {
+                0 => config,
+                1 => config.with_pass_budget(seed as usize % 8),
+                2 => config.with_disabled_pass("gvn"),
+                _ => config.without_defects(),
+            };
+            let subject = Subject::from_seed(seed);
+
+            let executable = subject.compile(&config);
+            let encoded = executable_to_json(&executable);
+            prop_assert_eq!(&parsed(&encoded).to_compact(), &encoded);
+            prop_assert_eq!(executable_from_json(&parsed(&encoded)).expect("decode"), executable);
+
+            let trace = subject.trace(&config);
+            let encoded = trace_to_json(&trace);
+            prop_assert_eq!(&parsed(&encoded).to_compact(), &encoded);
+            prop_assert_eq!(trace_from_json(&parsed(&encoded)).expect("decode"), trace);
+
+            let violations = subject.violations(&config);
+            let encoded = violations_to_json(&violations);
+            prop_assert_eq!(&parsed(&encoded).to_compact(), &encoded);
+            prop_assert_eq!(
+                violations_from_json(&parsed(&encoded)).expect("decode"),
+                violations
+            );
         }
     }
 
@@ -1304,7 +1349,8 @@ mod tests {
             function: FunctionId(0),
             observed: Observed::OptimizedOut,
         }];
-        let decoded = violations_from_json(&violations_to_json(&violations)).expect("decode");
+        let encoded = violations_to_json(&violations);
+        let decoded = violations_from_json(&parsed(&encoded)).expect("decode");
         assert_eq!(decoded, violations);
         assert_eq!(violations_from_json(&Json::Arr(vec![])).unwrap(), vec![]);
     }
@@ -1326,7 +1372,7 @@ mod tests {
                 Location::Register(holes_machine::STACK_NUM_REGS as u8),
             )]),
         );
-        let encoded = executable_to_json(&executable);
+        let encoded = parsed(&executable_to_json(&executable));
         assert!(executable_from_json(&encoded).is_err());
         // The same register index is fine on the register backend.
         let mut reg_exe = sample_executables().swap_remove(0);
@@ -1341,13 +1387,13 @@ mod tests {
                 Location::Register(holes_machine::STACK_NUM_REGS as u8),
             )]),
         );
-        assert!(executable_from_json(&executable_to_json(&reg_exe)).is_ok());
+        assert!(executable_from_json(&parsed(&executable_to_json(&reg_exe))).is_ok());
     }
 
     #[test]
     fn stack_programs_with_dangling_operands_are_rejected() {
         let executable = sample_executables().pop().unwrap();
-        let good = executable_to_json(&executable).to_compact();
+        let good = executable_to_json(&executable);
         for (needle, replacement) in [
             ("[\"pr\",0]", "[\"pr\",11]"),     // register beyond the file
             ("[\"call\",0,", "[\"call\",99,"), // call target out of range
@@ -1379,7 +1425,7 @@ mod tests {
         }
         // Tampered instruction and DIE shapes fail cleanly too.
         let executable = &sample_executables()[1];
-        let good = executable_to_json(executable).to_compact();
+        let good = executable_to_json(executable);
         for (needle, replacement) in [
             ("[\"li\",", "[\"xyzzy\","),
             ("\"entry\":", "\"entry\":9"),

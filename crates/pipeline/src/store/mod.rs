@@ -28,13 +28,27 @@
 //! # Format, integrity, and concurrency
 //!
 //! Every file is a [`ARTIFACT_FORMAT`] (`holes.artifact/v1`) envelope built
-//! on `holes_core::json`: format tag, kind, subject key, fingerprint, an
-//! FNV-1a checksum of the compact payload text, and the payload itself.
-//! Loads are **corruption-tolerant by construction**: any read, parse,
-//! envelope, checksum, or decode failure — including a decoded executable
-//! whose embedded configuration is not *exactly* the requested one — is
-//! counted in [`StoreStats::rejected`] and reported as a miss, so the
-//! artifact is recomputed (and the file rewritten) rather than trusted.
+//! on `holes_core::json`: one line holding the format tag, kind, subject
+//! key, fingerprint, an FNV-1a checksum of the compact payload text, and the
+//! payload itself.
+//!
+//! Encoding is **single-pass**: the codecs write an artifact straight to
+//! compact JSON text through a `JsonWriter` (no intermediate `Json` tree),
+//! and that text is checksummed once and spliced into the envelope
+//! verbatim. Decoding goes through **one text gate**, `validate_envelope`:
+//! the envelope text is parsed once, its identity fields are checked, the
+//! checksum is verified over the exact bytes of the `payload` member (the
+//! parser reports their span), and the payload is moved out of the parsed
+//! envelope. Envelopes that arrive as values — remote hits and
+//! [`ArtifactStore::put_envelope`] — pass the same gate as their compact
+//! text, so the disk and the fleet cannot disagree on what is trusted.
+//!
+//! Loads are **corruption-tolerant by construction**: any unreadable
+//! (non-UTF-8), parse, envelope, checksum, or decode failure — including a
+//! decoded executable whose embedded configuration is not *exactly* the
+//! requested one — is counted in [`StoreStats::rejected`] and reported as a
+//! miss, so the artifact is recomputed (and the file rewritten) rather than
+//! trusted.
 //! Writes go to a unique temporary file in the destination directory and
 //! are published with an atomic rename, so concurrent shard processes
 //! sharing one cache directory can never observe a half-written artifact;
@@ -59,7 +73,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use io::{FailingIo, OsIo, StoreIo};
 
 use holes_compiler::{CompilerConfig, Executable, Fingerprint};
-use holes_core::json::Json;
+use holes_core::json::{Json, JsonWriter};
 use holes_core::{Conjecture, Violation};
 use holes_debugger::{DebugTrace, DebuggerKind};
 
@@ -382,16 +396,21 @@ impl ArtifactStore {
             .clone()
     }
 
-    /// Run one store I/O operation with bounded retry: transient
-    /// (non-`NotFound`) failures sleep briefly and retry, counting each
-    /// retry; a failure that survives the budget is counted in
-    /// [`StoreStats::store_errors`] and returned.
+    /// Run one store I/O operation with bounded retry: transient failures
+    /// sleep briefly and retry, counting each retry; a failure that survives
+    /// the budget is counted in [`StoreStats::store_errors`] and returned.
+    /// `NotFound` (a miss) and `InvalidData` (a file that is not UTF-8, so
+    /// corrupted content, not a flaky disk) return at once.
     fn with_retry<T>(&self, mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
         let mut attempt = 0u32;
         loop {
             match op() {
                 Ok(value) => return Ok(value),
-                Err(error) if error.kind() == ErrorKind::NotFound => return Err(error),
+                Err(error)
+                    if matches!(error.kind(), ErrorKind::NotFound | ErrorKind::InvalidData) =>
+                {
+                    return Err(error)
+                }
                 Err(error) => {
                     if attempt >= IO_RETRIES {
                         self.store_errors.fetch_add(1, Ordering::Relaxed);
@@ -466,28 +485,22 @@ impl ArtifactStore {
         let path = self.path_for(subject, fingerprint, kind);
         let text = match self.with_retry(|| self.io.read_to_string(&path)) {
             Ok(text) => text,
+            Err(error) if error.kind() == ErrorKind::NotFound => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return self.load_remote(subject, fingerprint, kind, &path);
+            }
             Err(error) => {
-                if error.kind() == ErrorKind::NotFound {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.load_remote(subject, fingerprint, kind, &path);
+                if error.kind() == ErrorKind::InvalidData {
+                    self.reject(&path);
                 }
                 return None;
             }
         };
-        let envelope = match Json::parse(&text) {
-            Ok(envelope) => envelope,
-            Err(_) => {
-                self.reject(&path);
-                return None;
-            }
-        };
-        match validate_envelope(&envelope, subject, fingerprint, kind) {
-            Some(payload) => Some(payload),
-            None => {
-                self.reject(&path);
-                None
-            }
+        let payload = validate_envelope(&text, subject, fingerprint, kind).and_then(into_payload);
+        if payload.is_none() {
+            self.reject(&path);
         }
+        payload
     }
 
     /// The remote leg of a local miss: fetch the envelope from the attached
@@ -505,15 +518,16 @@ impl ArtifactStore {
         let remote = self.remote.get()?;
         match remote.fetch(subject, fingerprint, kind) {
             RemoteFetch::Hit(envelope) => {
-                match validate_envelope(&envelope, subject, fingerprint, kind) {
-                    Some(payload) => {
+                let text = envelope_line(&envelope);
+                match validate_envelope(&text, subject, fingerprint, kind) {
+                    Some(envelope) => {
                         self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                        self.write_envelope(path, &envelope);
-                        Some(payload)
+                        self.write_envelope(path, &text);
+                        into_payload(envelope)
                     }
                     None => {
                         self.remote_rejected.fetch_add(1, Ordering::Relaxed);
-                        self.quarantine_remote(subject, fingerprint, kind, &envelope);
+                        self.quarantine_remote(subject, fingerprint, kind, &text);
                         None
                     }
                 }
@@ -538,15 +552,13 @@ impl ArtifactStore {
         subject: SubjectKey,
         fingerprint: Fingerprint,
         kind: &str,
-        envelope: &Json,
+        text: &str,
     ) {
         let dir = self.root.join("quarantine").join(subject.to_string());
         if self.with_retry(|| self.io.create_dir_all(&dir)).is_err() {
             return;
         }
         let path = dir.join(format!("{fingerprint}.{kind}.remote.json"));
-        let mut text = envelope.to_compact();
-        text.push('\n');
         if self
             .with_retry(|| self.io.write(&path, text.as_bytes()))
             .is_ok()
@@ -556,25 +568,31 @@ impl ArtifactStore {
     }
 
     /// Write one artifact envelope with the atomic-rename protocol.
-    /// Transient failures are retried; a write the retry budget cannot
-    /// complete is abandoned and counted — the store is an accelerator,
-    /// never a correctness dependency.
-    fn save(&self, subject: SubjectKey, fingerprint: Fingerprint, kind: &str, payload: Json) {
+    /// `payload` is the artifact's compact JSON text: it is checksummed and
+    /// spliced into the envelope as is, never re-serialized. Transient
+    /// failures are retried; a write the retry budget cannot complete is
+    /// abandoned and counted — the store is an accelerator, never a
+    /// correctness dependency.
+    fn save(&self, subject: SubjectKey, fingerprint: Fingerprint, kind: &str, payload: &str) {
         let path = self.path_for(subject, fingerprint, kind);
-        let envelope = build_envelope(subject, fingerprint, kind, payload);
-        self.write_envelope(&path, &envelope);
+        let text = envelope_text(subject, fingerprint, kind, payload);
+        self.write_envelope(&path, &text);
         if let Some(remote) = self.remote.get() {
-            if !remote.put(&envelope) {
+            // The cache RPC carries the envelope as a JSON value, so only a
+            // store with a remote tier pays to parse it back.
+            let offered = Json::parse(&text).is_ok_and(|envelope| remote.put(&envelope));
+            if !offered {
                 self.remote_degraded.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Publish `envelope` at `path` via a unique temporary file and an
-    /// atomic rename (the shared engine of [`ArtifactStore::save`],
+    /// Publish the envelope `text` (one line, as [`envelope_text`] and
+    /// [`envelope_line`] spell it) at `path` via a unique temporary file
+    /// and an atomic rename (the shared engine of [`ArtifactStore::save`],
     /// remote write-through, and [`ArtifactStore::put_envelope`]). Returns
     /// whether the artifact landed.
-    fn write_envelope(&self, path: &Path, envelope: &Json) -> bool {
+    fn write_envelope(&self, path: &Path, text: &str) -> bool {
         let Some(dir) = path.parent() else {
             return false;
         };
@@ -584,8 +602,6 @@ impl ArtifactStore {
         let Some(file) = path.file_name().and_then(|name| name.to_str()) else {
             return false;
         };
-        let mut text = envelope.to_compact();
-        text.push('\n');
         let tmp = dir.join(format!(
             ".{file}.{}-{}.tmp",
             std::process::id(),
@@ -630,22 +646,23 @@ impl ArtifactStore {
         let text = match self.with_retry(|| self.io.read_to_string(&path)) {
             Ok(text) => text,
             Err(error) => {
-                if error.kind() == ErrorKind::NotFound {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                match error.kind() {
+                    ErrorKind::NotFound => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    ErrorKind::InvalidData => self.reject(&path),
+                    _ => {}
                 }
                 return None;
             }
         };
-        match Json::parse(&text) {
-            Ok(envelope) if validate_envelope(&envelope, subject, fingerprint, kind).is_some() => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(envelope)
-            }
-            _ => {
-                self.reject(&path);
-                None
-            }
+        let envelope = validate_envelope(&text, subject, fingerprint, kind);
+        if envelope.is_some() {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.reject(&path);
         }
+        envelope
     }
 
     /// Validate and store an envelope pushed by a remote peer (the
@@ -677,12 +694,12 @@ impl ArtifactStore {
         if !valid_kind(kind) {
             return Err(format!("`{kind}` is not a valid artifact kind"));
         }
-        let kind = kind.to_owned();
-        if validate_envelope(envelope, subject, fingerprint, &kind).is_none() {
+        let text = envelope_line(envelope);
+        if validate_envelope(&text, subject, fingerprint, kind).is_none() {
             return Err("envelope failed validation (format or checksum)".into());
         }
-        let path = self.path_for(subject, fingerprint, &kind);
-        if self.write_envelope(&path, envelope) {
+        let path = self.path_for(subject, fingerprint, kind);
+        if self.write_envelope(&path, &text) {
             Ok(())
         } else {
             Err("store write failed".into())
@@ -715,7 +732,7 @@ impl ArtifactStore {
             subject,
             executable.config.fingerprint(),
             "exe",
-            codec::executable_to_json(executable),
+            &codec::executable_to_json(executable),
         );
     }
 
@@ -753,7 +770,7 @@ impl ArtifactStore {
             subject,
             config.fingerprint(),
             &tag,
-            codec::trace_to_json(trace),
+            &codec::trace_to_json(trace),
         );
     }
 
@@ -816,7 +833,7 @@ impl ArtifactStore {
         payload: Json,
     ) {
         let kind = ArtifactStore::corpus_kind(conjecture, line, variable);
-        self.save(subject, config.fingerprint(), &kind, payload);
+        self.save(subject, config.fingerprint(), &kind, &payload.to_compact());
     }
 
     /// Garbage-collect the store down to at most `max_bytes` of artifact
@@ -957,7 +974,7 @@ impl ArtifactStore {
             subject,
             config.fingerprint(),
             &tag,
-            codec::violations_to_json(violations),
+            &codec::violations_to_json(violations),
         );
     }
 }
@@ -975,54 +992,90 @@ pub(crate) fn valid_kind(kind: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
 }
 
-/// Validate a `holes.artifact/v1` envelope against the identity it is
-/// supposed to carry, returning the payload only when every gate passes:
-/// the format tag, the artifact kind, the subject key, the fingerprint
-/// (round-tripped through [`Fingerprint`]'s canonical hex spelling rather
-/// than raw string equality, so the check survives cosmetic re-spellings of
-/// the same identity), and the FNV-1a checksum of the compact payload text.
+/// Validate the text of a `holes.artifact/v1` envelope against the identity
+/// it is supposed to carry, returning the parsed envelope only when every
+/// gate passes: the format tag, the artifact kind, the subject key, the
+/// fingerprint (round-tripped through [`Fingerprint`]'s canonical hex
+/// spelling rather than raw string equality, so the check survives cosmetic
+/// re-spellings of the same identity), and the FNV-1a checksum of the exact
+/// bytes of the `payload` member. The text is parsed once; the checksum
+/// covers the payload's byte span as the parser found it, so a payload that
+/// is not the compact spelling the writers emit can never pass.
+///
 /// This is the single gate every envelope passes — read from disk, fetched
-/// from a remote, or pushed by a put — so no path can trust bytes another
-/// path would reject.
+/// from a remote, or pushed by a put (the last two as [`envelope_line`]
+/// text) — so no path can trust bytes another path would reject.
 fn validate_envelope(
-    envelope: &Json,
+    text: &str,
     subject: SubjectKey,
     fingerprint: Fingerprint,
     kind: &str,
 ) -> Option<Json> {
-    let envelope_fingerprint = envelope
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .and_then(|text| text.parse::<Fingerprint>().ok());
-    let valid = envelope.get("format").and_then(Json::as_str) == Some(ARTIFACT_FORMAT)
-        && envelope.get("kind").and_then(Json::as_str) == Some(kind)
-        && envelope.get("subject").and_then(Json::as_str) == Some(subject.to_string().as_str())
-        && envelope_fingerprint == Some(fingerprint);
-    let payload = valid.then(|| envelope.get("payload")).flatten().cloned()?;
-    let checksum = format!("{:016x}", fnv1a(payload.to_compact().as_bytes()));
-    if envelope.get("checksum").and_then(Json::as_str) != Some(checksum.as_str()) {
+    let (envelope, spans) = Json::parse_with_spans(text).ok()?;
+    let field = |key: &str| envelope.get(key).and_then(Json::as_str);
+    let valid = field("format") == Some(ARTIFACT_FORMAT)
+        && field("kind") == Some(kind)
+        && field("subject") == Some(subject.to_string().as_str())
+        && field("fingerprint").and_then(|text| text.parse::<Fingerprint>().ok())
+            == Some(fingerprint);
+    if !valid {
         return None;
     }
-    Some(payload)
+    let payload = envelope
+        .as_obj()?
+        .iter()
+        .position(|(key, _)| key == "payload")?;
+    let checksum = format!("{:016x}", fnv1a(text[spans[payload].clone()].as_bytes()));
+    (field("checksum") == Some(checksum.as_str())).then_some(envelope)
 }
 
-/// Assemble the `holes.artifact/v1` envelope for a payload (the exact
-/// object [`validate_envelope`] accepts).
-fn build_envelope(
+/// Move the payload out of an envelope [`validate_envelope`] accepted.
+fn into_payload(envelope: Json) -> Option<Json> {
+    let Json::Obj(members) = envelope else {
+        return None;
+    };
+    members
+        .into_iter()
+        .find_map(|(key, value)| (key == "payload").then_some(value))
+}
+
+/// The one-line `holes.artifact/v1` envelope text for a payload already
+/// spelled as compact JSON (the exact text [`validate_envelope`] accepts):
+/// the payload is checksummed and spliced in verbatim.
+fn envelope_text(
     subject: SubjectKey,
     fingerprint: Fingerprint,
     kind: &str,
-    payload: Json,
-) -> Json {
-    let checksum = format!("{:016x}", fnv1a(payload.to_compact().as_bytes()));
-    Json::Obj(vec![
-        ("format".to_owned(), Json::str(ARTIFACT_FORMAT)),
-        ("kind".to_owned(), Json::str(kind)),
-        ("subject".to_owned(), Json::str(subject.to_string())),
-        ("fingerprint".to_owned(), Json::str(fingerprint.to_string())),
-        ("checksum".to_owned(), Json::str(checksum)),
-        ("payload".to_owned(), payload),
-    ])
+    payload: &str,
+) -> String {
+    let checksum = format!("{:016x}", fnv1a(payload.as_bytes()));
+    let mut text = String::with_capacity(payload.len() + 192);
+    let w = &mut JsonWriter::new(&mut text);
+    w.begin_obj();
+    w.key("format");
+    w.str(ARTIFACT_FORMAT);
+    w.key("kind");
+    w.str(kind);
+    w.key("subject");
+    w.str(&subject.to_string());
+    w.key("fingerprint");
+    w.str(&fingerprint.to_string());
+    w.key("checksum");
+    w.str(&checksum);
+    w.key("payload");
+    w.raw(payload);
+    w.end_obj();
+    text.push('\n');
+    text
+}
+
+/// The envelope text of an envelope that arrived as a [`Json`] value (a
+/// remote hit or a put): its compact spelling plus the trailing newline,
+/// ready for [`validate_envelope`] and [`ArtifactStore::write_envelope`].
+fn envelope_line(envelope: &Json) -> String {
+    let mut text = envelope.to_compact();
+    text.push('\n');
+    text
 }
 
 /// The timestamp a GC sweep uses for a group member. A file whose mtime

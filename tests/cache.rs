@@ -4,20 +4,25 @@
 //! graceful local-only degradation when the cache server is unreachable,
 //! and the proptest non-trust guarantee — a corrupted envelope served over
 //! the cache RPC is rejected, quarantined, and recomputed, never believed.
+//! The disk tier gets the same single-bit-flip proptest, and the on-disk
+//! envelope bytes of every artifact kind are pinned by a golden listing
+//! (`tests/golden/store-envelopes-2500-2506.txt`), so old stores keep
+//! loading and fleet peers stay compatible.
 //!
 //! The fleet tests run a real TCP coordinator plus in-process `run_worker`
 //! threads. Worker subjects bind their store through the process-wide
 //! override ([`install_process_store`]), which is global state, so every
 //! test in this file serializes on one mutex and uninstalls on exit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use holes_compiler::{Fingerprint, Personality};
+use holes_compiler::{BackendKind, CompilerConfig, Fingerprint, Personality};
 use holes_core::json::Json;
+use holes_debugger::DebuggerKind;
 use holes_pipeline::fault::FaultPolicy;
 use holes_pipeline::serve::chaos::{CacheMode, CachePlan};
 use holes_pipeline::serve::{
@@ -28,6 +33,7 @@ use holes_pipeline::store::{
     install_process_store, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey,
 };
 use holes_pipeline::stream::run_shard_streaming;
+use holes_pipeline::Subject;
 use holes_progen::SeedRange;
 
 /// Serializes every test here: the process-wide store override and the
@@ -449,6 +455,187 @@ proptest! {
                 store_stats.quarantined > 0,
                 "rejected envelopes are quarantined: {:?}",
                 store_stats
+            );
+        }
+    }
+}
+
+/// The FNV-1a-64 digest the envelope listing pins each file with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Every file under `root`, as `/`-separated paths relative to it, sorted.
+fn relative_files(root: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).expect("store dir lists").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let relative = path.strip_prefix(root).expect("under the root");
+                let parts: Vec<_> = relative
+                    .components()
+                    .map(|c| c.as_os_str().to_string_lossy().into_owned())
+                    .collect();
+                files.push(parts.join("/"));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Compare `actual` against `tests/golden/<name>`, or rewrite the fixture
+/// when `HOLES_BLESS=1` is set (the convention of `tests/golden.rs`).
+fn check_golden(name: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("HOLES_BLESS").is_some() {
+        std::fs::write(&path, actual).expect("golden fixture writes");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+    assert_eq!(
+        actual, expected,
+        "`{name}` drifted: the store no longer writes the pinned envelope bytes"
+    );
+}
+
+/// The on-disk envelope bytes of every artifact kind are pinned: a ccg and
+/// an lcc campaign over seeds `2500..2506` on every backend write exactly
+/// the files of the fixture, each with the recorded length and FNV-1a-64
+/// digest. Old stores keep loading and fleet peers stay compatible only
+/// while this listing holds.
+#[test]
+fn store_envelope_bytes_match_the_pinned_listing() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = Scratch::dir("envelope-golden");
+    let store = Arc::new(ArtifactStore::open(&dir.path).expect("store opens"));
+    install_process_store(Some(Arc::clone(&store)));
+    for personality in [Personality::Ccg, Personality::Lcc] {
+        for backend in [BackendKind::Reg, BackendKind::Stack, BackendKind::Frame] {
+            let campaign =
+                CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506))
+                    .with_backend(backend);
+            run_shard_streaming(&campaign, std::io::sink()).expect("campaign runs");
+        }
+    }
+    install_process_store(None);
+    let mut listing = String::new();
+    for relative in relative_files(&dir.path) {
+        let bytes = std::fs::read(dir.path.join(&relative)).expect("envelope reads");
+        listing.push_str(&format!(
+            "{relative} {} {:016x}\n",
+            bytes.len(),
+            fnv1a(&bytes)
+        ));
+    }
+    assert!(listing.contains(".exe.json "), "exe envelopes are pinned");
+    assert!(listing.contains(".trace-"), "trace envelopes are pinned");
+    assert!(listing.contains(".viol-"), "violation envelopes are pinned");
+    check_golden("store-envelopes-2500-2506.txt", &listing);
+}
+
+/// Copy every file under `from` into the same relative place under `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    for relative in relative_files(from) {
+        let target = to.join(&relative);
+        std::fs::create_dir_all(target.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::copy(from.join(&relative), target).expect("copy");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Single-bit-flip non-trust on the disk path: whatever bit of
+    /// whichever on-disk envelope of a warm store is flipped — executable,
+    /// trace or violation set — that envelope is either rejected and
+    /// quarantined, or decodes to exactly the artifact it held before (a
+    /// cosmetic re-spelling such as a hex digit's case in the fingerprint).
+    /// The campaign's bytes never change.
+    #[test]
+    fn flipped_disk_envelopes_are_quarantined_or_decode_identically(flip in any::<u64>()) {
+        let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let campaign = spec(4900, 2);
+        let (donor, reference) = {
+            let (store, reference) = flip_donor();
+            (Arc::clone(store), reference.clone())
+        };
+
+        // A private copy of the warm store with one bit flipped.
+        let victim_dir = Scratch::dir("disk-flip");
+        copy_tree(donor.root(), &victim_dir.path);
+        let files = relative_files(&victim_dir.path);
+        let victim = &files[((flip >> 32) as usize) % files.len()];
+        let mut bytes = std::fs::read(victim_dir.path.join(victim)).expect("victim reads");
+        let index = (flip as usize) % bytes.len();
+        bytes[index] ^= 1u8 << ((flip >> 48) % 8);
+        std::fs::write(victim_dir.path.join(victim), &bytes).expect("victim writes");
+
+        let store = Arc::new(ArtifactStore::open(&victim_dir.path).expect("victim store opens"));
+        install_process_store(Some(Arc::clone(&store)));
+        let mut out = Vec::new();
+        run_shard_streaming(&campaign, &mut out).expect("flipped-store run");
+        install_process_store(None);
+        prop_assert_eq!(
+            String::from_utf8(out).expect("UTF-8"),
+            String::from_utf8(reference).expect("UTF-8"),
+            "a flipped disk envelope changed campaign bytes (flip {} of {})", flip, victim
+        );
+
+        // Every artifact kind loads as the donor's, or not at all.
+        let personality = Personality::Ccg;
+        let debugger = DebuggerKind::native_for(personality);
+        let mut refused = 0;
+        for seed in 4900..4902 {
+            let subject = Subject::from_seed(seed);
+            let key = SubjectKey::derive(seed, &subject.source.text);
+            for &level in personality.levels() {
+                let config = CompilerConfig::new(personality, level);
+                let loads = [
+                    store.load_executable(key, &config).map(|exe| {
+                        exe == donor.load_executable(key, &config).expect("donor is warm")
+                    }),
+                    store.load_trace(key, &config, debugger).map(|trace| {
+                        trace == donor.load_trace(key, &config, debugger).expect("donor is warm")
+                    }),
+                    store.load_violations(key, &config, debugger).map(|violations| {
+                        violations
+                            == donor
+                                .load_violations(key, &config, debugger)
+                                .expect("donor is warm")
+                    }),
+                ];
+                for load in loads {
+                    match load {
+                        Some(identical) => prop_assert!(
+                            identical,
+                            "flip {} of {} decoded to a different artifact", flip, victim
+                        ),
+                        None => refused += 1,
+                    }
+                }
+            }
+        }
+        let stats = store.stats();
+        prop_assert_eq!(stats.store_errors, 0, "a flipped file is content, not I/O: {:?}", stats);
+        prop_assert!(stats.rejected <= 1, "only the flipped file is refused: {:?}", stats);
+        prop_assert!(refused <= stats.rejected, "a miss was not a rejection: {:?}", stats);
+        if stats.rejected == 1 {
+            prop_assert_eq!(stats.quarantined, 1, "the rejected file is quarantined: {:?}", stats);
+            let quarantined = victim_dir.path.join("quarantine").join(victim);
+            prop_assert_eq!(
+                std::fs::read(&quarantined).expect("quarantined bytes kept"),
+                bytes,
+                "quarantine holds the flipped bytes"
             );
         }
     }
