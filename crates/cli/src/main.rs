@@ -59,11 +59,10 @@ use holes::pipeline::shard::{
 use holes::pipeline::store::{install_process_store, CACHE_DIR_ENV};
 use holes::pipeline::stream::{
     fold_jsonl_reader, is_jsonl_shard, parse_jsonl_header, read_jsonl_shard,
-    resume_shard_streaming, run_shard_streaming_with_policy, StreamError,
+    resume_shard_streaming, run_shard_streaming, StreamError,
 };
 use holes::pipeline::triage::{
-    merge_triage_shards, run_triage_shard_with_policy, triage, triage_campaign_on_with_policy,
-    TriageShard,
+    merge_triage_shards, run_triage_shard, triage, triage_campaign_on_with_policy, TriageShard,
 };
 use holes::pipeline::{
     subject_pool, ArtifactStore, CacheStats, FaultPolicy, Subject, SubjectKey, SubjectOutcome,
@@ -512,9 +511,9 @@ fn campaign_jsonl(
     let outcome = match parsed.opt("out") {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?;
-            run_shard_streaming_with_policy(campaign, std::io::BufWriter::new(file), policy)
+            run_shard_streaming(campaign, std::io::BufWriter::new(file), policy)
         }
-        None => run_shard_streaming_with_policy(campaign, std::io::stdout().lock(), policy),
+        None => run_shard_streaming(campaign, std::io::stdout().lock(), policy),
     };
     let run = match outcome {
         Ok(summary) => summary,
@@ -1872,7 +1871,7 @@ fn triage_shard_mode(
     store: Option<&Arc<ArtifactStore>>,
 ) -> Result<RunStatus, String> {
     let (shard, faults, stats) =
-        run_triage_shard_with_policy(spec, limit, policy).map_err(|e| e.to_string())?;
+        run_triage_shard(spec, limit, policy).map_err(|e| e.to_string())?;
     if parsed.switch("stats") {
         print_stats(&stats, store);
     }

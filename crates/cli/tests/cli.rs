@@ -1360,6 +1360,39 @@ fn bogus_fault_seed_lists_are_rejected_up_front_with_the_offending_entry() {
 }
 
 #[test]
+fn bogus_store_chaos_periods_are_rejected_up_front() {
+    let scratch = Scratch::new("store-chaos");
+    let cache = scratch.path("cache");
+    let args = [
+        "campaign",
+        "--seeds",
+        "0..1",
+        "--quiet",
+        "--cache-dir",
+        &cache,
+    ];
+    for bogus in ["3x", "abc", "-2"] {
+        let output = holes_env(&args, &[("HOLES_STORE_CHAOS", bogus)]);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "a typo'd store chaos period `{bogus}` must not run"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("HOLES_STORE_CHAOS"), "{stderr}");
+        assert!(
+            stderr.contains(bogus),
+            "the message names the value: {stderr}"
+        );
+    }
+    // Empty and `0` still mean no chaos; a positive period runs.
+    for period in ["", "0", "3"] {
+        let output = holes_env(&args, &[("HOLES_STORE_CHAOS", period)]);
+        assert_eq!(output.status.code(), Some(0), "period `{period}`");
+    }
+}
+
+#[test]
 fn campaign_corpus_prepass_replays_first_and_gates_regressions() {
     let scratch = Scratch::new("prepass");
     let corpus = scratch.path("corpus.json");

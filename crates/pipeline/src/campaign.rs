@@ -9,7 +9,8 @@ use holes_core::{Conjecture, Violation};
 
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::par;
-use crate::Subject;
+use crate::shard::CampaignSpec;
+use crate::{CacheStats, Subject};
 
 /// One violation found during a campaign, with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -414,33 +415,22 @@ pub fn run_campaign(
     personality: Personality,
     version: usize,
 ) -> CampaignResult {
-    run_campaign_on(subjects, personality, version, BackendKind::Reg)
-}
-
-/// [`run_campaign`] targeting an explicit backend: the same campaign, with
-/// every subject compiled for `backend` (so a stack-VM campaign exercises
-/// the spill-induced violation classes the register backend cannot
-/// express).
-pub fn run_campaign_on(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
-) -> CampaignResult {
     run_campaign_on_with_policy(
         subjects,
         personality,
         version,
-        backend,
+        BackendKind::Reg,
         &FaultPolicy::default(),
     )
 }
 
-/// [`run_campaign_on`] with subject-level fault containment: each subject
-/// is evaluated under [`fault::contain`], so a panic or (under a fuel
-/// limit) a runaway program becomes a [`SubjectFault`] in the result's
-/// `faults` list instead of crashing the campaign. On the default policy
-/// the result is byte-identical to [`run_campaign_on`].
+/// [`run_campaign`] on an explicit backend (so a stack-VM campaign
+/// exercises the spill-induced violation classes the register backend
+/// cannot express), with subject-level fault containment: each subject is
+/// evaluated under [`fault::contain`], so a panic or (under a fuel limit) a
+/// runaway program becomes a [`SubjectFault`] in the result's `faults` list
+/// instead of crashing the campaign. On the default policy and the register
+/// backend the result is byte-identical to [`run_campaign`].
 pub fn run_campaign_on_with_policy(
     subjects: &[Subject],
     personality: Personality,
@@ -477,6 +467,38 @@ pub fn run_campaign_on_with_policy(
         levels,
         faults,
     }
+}
+
+/// The per-seed loop behind every seed-driven driver — the in-memory and
+/// streamed shard runs and the sharded triage. Each seed's subject is
+/// regenerated with the policy's fuel limit, its records are computed for
+/// `spec` (global subject index `seed - spec.seeds.start`), and `body`
+/// turns subject and records into the driver's result, all under
+/// [`fault::contain`]. The whole slice is evaluated in one parallel pass;
+/// outcomes come back in seed order, each completed one paired with the
+/// subject's cache activity.
+pub(crate) fn evaluate_seeds<R: Send>(
+    spec: &CampaignSpec,
+    seeds: &[u64],
+    policy: &FaultPolicy,
+    body: impl Fn(&Subject, Vec<ViolationRecord>) -> R + Sync,
+) -> Vec<SubjectOutcome<(R, CacheStats)>> {
+    let levels = spec.personality.levels();
+    par::par_map(seeds, |_, &seed| {
+        let index = (seed - spec.seeds.start) as usize;
+        fault::contain(policy, seed, index, || {
+            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
+            let records = subject_records(
+                &subject,
+                index,
+                spec.personality,
+                spec.version,
+                spec.backend,
+                levels,
+            );
+            (body(&subject, records), subject.cache_stats())
+        })
+    })
 }
 
 /// The serial reference implementation of [`run_campaign`]; the tests and
@@ -584,6 +606,39 @@ mod tests {
             assert_eq!(parallel.table1(), serial.table1());
             assert_eq!(parallel.venn(), serial.venn());
         }
+    }
+
+    #[test]
+    fn every_shard_driver_agrees_under_injected_faults() {
+        use crate::shard::run_shard_with_policy;
+        use crate::stream::{read_jsonl_shard, run_shard_streaming};
+        use crate::triage::run_triage_shard;
+        use holes_progen::SeedRange;
+
+        let personality = Personality::Lcc;
+        let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2600, 2612));
+        let injected = vec![2603u64, 2607];
+        let policy = FaultPolicy {
+            inject_seeds: injected.iter().copied().collect(),
+            ..FaultPolicy::default()
+        };
+        let (in_memory, _) = run_shard_with_policy(&spec, &policy).unwrap();
+        assert!(
+            !in_memory.result.records.is_empty(),
+            "range exposed no records"
+        );
+        let mut out = Vec::new();
+        let run = run_shard_streaming(&spec, &mut out, &policy).unwrap();
+        let streamed = read_jsonl_shard(&String::from_utf8(out).unwrap()).unwrap();
+        assert_eq!(streamed, in_memory, "records and faults alike");
+
+        let faulted = |faults: &[SubjectFault]| faults.iter().map(|f| f.seed).collect::<Vec<_>>();
+        assert_eq!(faulted(&in_memory.result.faults), injected);
+        assert_eq!(faulted(&streamed.result.faults), injected);
+        assert_eq!(run.faulted, injected.len());
+
+        let (_, triage_faults, _) = run_triage_shard(&spec, 1, &policy).unwrap();
+        assert_eq!(triage_faults, in_memory.result.faults);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!
 //! A malformed value is a hard error (`exit 1`) the first time chaos is
 //! consulted — a typo'd kill schedule silently doing nothing would make a
-//! red chaos run look green.
+//! red chaos run look green. The same parser reads `HOLES_CACHE_CHAOS`
+//! (below), and its positive-count rule reads `HOLES_STORE_CHAOS`.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::OnceLock;
@@ -29,7 +30,7 @@ use std::sync::OnceLock;
 /// `preempt:N`).
 pub const SERVE_CHAOS_ENV: &str = "HOLES_SERVE_CHAOS";
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Abort,
     Preempt,
@@ -45,46 +46,78 @@ struct Plan {
 static PLAN: OnceLock<Option<Plan>> = OnceLock::new();
 
 fn plan() -> Option<&'static Plan> {
-    PLAN.get_or_init(parse_env).as_ref()
+    PLAN.get_or_init(|| plan_from_env(SERVE_CHAOS_ENV, parse_plan))
+        .as_ref()
 }
 
-fn parse_env() -> Option<Plan> {
-    let raw = std::env::var(SERVE_CHAOS_ENV).ok()?;
-    match parse_plan(&raw) {
+fn parse_plan(raw: &str) -> Result<Option<Plan>, String> {
+    let modes = [("abort", Mode::Abort), ("preempt", Mode::Preempt)];
+    Ok(
+        parse_counted(raw, "chaos", &modes)?.map(|(mode, count)| Plan {
+            mode,
+            remaining: AtomicI64::new(count.into()),
+        }),
+    )
+}
+
+/// Read the plan in environment variable `var` with `parse`: unset means no
+/// plan, and a malformed value is a hard `exit 1` naming the variable — a
+/// typo'd schedule must not silently pass.
+pub(crate) fn plan_from_env<T>(
+    var: &str,
+    parse: impl FnOnce(&str) -> Result<Option<T>, String>,
+) -> Option<T> {
+    let raw = std::env::var(var).ok()?;
+    match parse(&raw) {
         Ok(plan) => plan,
         Err(message) => {
-            eprintln!("holes: {SERVE_CHAOS_ENV}: {message}");
+            eprintln!("holes: {var}: {message}");
             std::process::exit(1);
         }
     }
 }
 
-fn parse_plan(raw: &str) -> Result<Option<Plan>, String> {
+/// Parse a `kind:N` plan against `modes`, the table of accepted kinds: an
+/// empty value is no plan, anything else must name a listed kind and a
+/// positive count. `what` names the plan in error messages.
+fn parse_counted<M: Copy>(
+    raw: &str,
+    what: &str,
+    modes: &[(&str, M)],
+) -> Result<Option<(M, u32)>, String> {
     let raw = raw.trim();
     if raw.is_empty() {
         return Ok(None);
     }
-    let (mode, count) = raw.split_once(':').ok_or_else(|| {
-        format!("`{raw}` is not a chaos plan (expected `abort:N` or `preempt:N`)")
-    })?;
-    let mode = match mode {
-        "abort" => Mode::Abort,
-        "preempt" => Mode::Preempt,
-        other => {
-            return Err(format!(
-                "unknown chaos mode `{other}` (expected `abort` or `preempt`)"
-            ))
+    let expected = |suffix: &str| {
+        let names: Vec<String> = modes
+            .iter()
+            .map(|(name, _)| format!("`{name}{suffix}`"))
+            .collect();
+        match names.as_slice() {
+            [first, second] => format!("{first} or {second}"),
+            [init @ .., last] if !init.is_empty() => format!("{}, or {last}", init.join(", ")),
+            _ => names.concat(),
         }
     };
-    let count: i64 = count
+    let (name, count) = raw
+        .split_once(':')
+        .ok_or_else(|| format!("`{raw}` is not a {what} plan (expected {})", expected(":N")))?;
+    let mode = modes
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|&(_, mode)| mode)
+        .ok_or_else(|| format!("unknown {what} mode `{name}` (expected {})", expected("")))?;
+    Ok(Some((mode, parse_positive_count(count)?)))
+}
+
+/// Parse the `N` of a chaos schedule: a count of at least 1.
+pub(crate) fn parse_positive_count(count: &str) -> Result<u32, String> {
+    count
         .parse()
         .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| format!("`{count}` is not a positive event count"))?;
-    Ok(Some(Plan {
-        mode,
-        remaining: AtomicI64::new(count),
-    }))
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("`{count}` is not a positive event count"))
 }
 
 /// Called by the streaming shard writer after every emitted line; under
@@ -162,43 +195,17 @@ static CACHE_PLAN: OnceLock<Option<std::sync::Arc<CachePlan>>> = OnceLock::new()
 /// time chaos is consulted — a typo'd schedule must not silently pass.
 pub fn cache_plan_from_env() -> Option<std::sync::Arc<CachePlan>> {
     CACHE_PLAN
-        .get_or_init(|| {
-            let raw = std::env::var(CACHE_CHAOS_ENV).ok()?;
-            match parse_cache_plan(&raw) {
-                Ok(plan) => plan.map(std::sync::Arc::new),
-                Err(message) => {
-                    eprintln!("holes: {CACHE_CHAOS_ENV}: {message}");
-                    std::process::exit(1);
-                }
-            }
-        })
+        .get_or_init(|| plan_from_env(CACHE_CHAOS_ENV, parse_cache_plan).map(std::sync::Arc::new))
         .clone()
 }
 
 fn parse_cache_plan(raw: &str) -> Result<Option<CachePlan>, String> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    let (mode, count) = raw.split_once(':').ok_or_else(|| {
-        format!("`{raw}` is not a cache chaos plan (expected `drop:N`, `corrupt:N`, or `delay:N`)")
-    })?;
-    let mode = match mode {
-        "drop" => CacheMode::Drop,
-        "corrupt" => CacheMode::Corrupt,
-        "delay" => CacheMode::Delay,
-        other => {
-            return Err(format!(
-                "unknown cache chaos mode `{other}` (expected `drop`, `corrupt`, or `delay`)"
-            ))
-        }
-    };
-    let count: u32 = count
-        .parse()
-        .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| format!("`{count}` is not a positive event count"))?;
-    Ok(Some(CachePlan::new(mode, count)))
+    let modes = [
+        ("drop", CacheMode::Drop),
+        ("corrupt", CacheMode::Corrupt),
+        ("delay", CacheMode::Delay),
+    ];
+    Ok(parse_counted(raw, "cache chaos", &modes)?.map(|(mode, count)| CachePlan::new(mode, count)))
 }
 
 #[cfg(test)]
@@ -231,6 +238,19 @@ mod tests {
             message.contains("stall"),
             "message names the mode: {message}"
         );
+        for (bogus, message) in [
+            (
+                "4",
+                "`4` is not a chaos plan (expected `abort:N` or `preempt:N`)",
+            ),
+            (
+                "stall:4",
+                "unknown chaos mode `stall` (expected `abort` or `preempt`)",
+            ),
+            ("abort:0", "`0` is not a positive event count"),
+        ] {
+            assert_eq!(parse_plan(bogus).err().as_deref(), Some(message));
+        }
     }
 
     #[test]
@@ -258,6 +278,19 @@ mod tests {
                 parse_cache_plan(bogus).is_err(),
                 "`{bogus}` should be rejected"
             );
+        }
+        for (bogus, message) in [
+            (
+                "4",
+                "`4` is not a cache chaos plan (expected `drop:N`, `corrupt:N`, or `delay:N`)",
+            ),
+            (
+                "stall:4",
+                "unknown cache chaos mode `stall` (expected `drop`, `corrupt`, or `delay`)",
+            ),
+            ("corrupt:-1", "`-1` is not a positive event count"),
+        ] {
+            assert_eq!(parse_cache_plan(bogus).err().as_deref(), Some(message));
         }
 
         let plan = CachePlan::new(CacheMode::Corrupt, 2);

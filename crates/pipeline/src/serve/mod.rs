@@ -41,7 +41,8 @@
 //! The load-bearing guarantee, held by proptests over random kill and
 //! revocation schedules: the coordinator's merged stream is
 //! **byte-identical** to a single-process unsharded
-//! [`crate::stream::run_shard_streaming`] of the same spec.
+//! [`crate::stream::run_shard_streaming`] of the same spec and fault
+//! policy.
 //!
 //! [`CampaignSpec`]: crate::shard::CampaignSpec
 //! [`ServeState`]: coordinator::ServeState

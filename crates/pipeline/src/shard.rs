@@ -22,10 +22,8 @@ use holes_core::{Observed, Violation};
 use holes_minic::ast::FunctionId;
 use holes_progen::SeedRange;
 
-use crate::campaign::{subject_records, CampaignResult, ViolationRecord};
-use crate::fault::{self, FaultPolicy, FaultStage, SubjectFault, SubjectOutcome};
-use crate::par;
-use crate::Subject;
+use crate::campaign::{evaluate_seeds, CampaignResult, ViolationRecord};
+use crate::fault::{FaultPolicy, FaultStage, SubjectFault, SubjectOutcome};
 
 /// What to run: one personality's campaign over a seed range, as one shard
 /// of a (possibly single-shard) partition.
@@ -133,50 +131,27 @@ pub struct CampaignShard {
 /// independent) and reassembled in seed order, so the result is
 /// deterministic for a given spec.
 pub fn run_shard(spec: &CampaignSpec) -> Result<CampaignShard, ShardError> {
-    run_shard_with_stats(spec).map(|(shard, _)| shard)
+    run_shard_with_policy(spec, &FaultPolicy::default()).map(|(shard, _)| shard)
 }
 
-/// [`run_shard`], additionally returning the evaluation-engine activity
+/// [`run_shard`] with subject-level fault containment (see
+/// [`crate::fault`]), additionally returning the evaluation-engine activity
 /// aggregated over every subject of the shard (compiles, traces, checks,
-/// hits, disk loads) — what the CLI's `--stats` switch reports.
-pub fn run_shard_with_stats(
-    spec: &CampaignSpec,
-) -> Result<(CampaignShard, crate::CacheStats), ShardError> {
-    run_shard_with_policy(spec, &FaultPolicy::default())
-}
-
-/// [`run_shard_with_stats`] with subject-level fault containment (see
-/// [`crate::fault`]): each seed's generation and evaluation runs under
-/// [`fault::contain`], so a panicking or (under a fuel limit) runaway
-/// subject becomes a [`SubjectFault`] in the shard's result instead of
-/// killing the run. On the default policy the shard is byte-identical to
-/// [`run_shard_with_stats`].
+/// hits, disk loads) — what the CLI's `--stats` switch reports. Each
+/// seed's generation and evaluation runs under [`crate::fault::contain`],
+/// so a panicking or (under a fuel limit) runaway subject becomes a
+/// [`SubjectFault`] in the shard's result instead of killing the run. On
+/// the default policy the shard is byte-identical to [`run_shard`].
 pub fn run_shard_with_policy(
     spec: &CampaignSpec,
     policy: &FaultPolicy,
 ) -> Result<(CampaignShard, crate::CacheStats), ShardError> {
     spec.validate()?;
-    let levels = spec.personality.levels().to_vec();
     let seeds = spec.shard_seeds();
-    let per_seed = par::par_map(&seeds, |_, &seed| {
-        let global_index = (seed - spec.seeds.start) as usize;
-        fault::contain(policy, seed, global_index, || {
-            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-            let records = subject_records(
-                &subject,
-                global_index,
-                spec.personality,
-                spec.version,
-                spec.backend,
-                &levels,
-            );
-            (records, subject.cache_stats())
-        })
-    });
     let mut stats = crate::CacheStats::default();
     let mut records = Vec::new();
     let mut faults = Vec::new();
-    for outcome in per_seed {
+    for outcome in evaluate_seeds(spec, &seeds, policy, |_, records| records) {
         match outcome {
             SubjectOutcome::Completed((subject_records, subject_stats)) => {
                 stats.absorb(subject_stats);
@@ -191,7 +166,7 @@ pub fn run_shard_with_policy(
             result: CampaignResult {
                 records,
                 programs: seeds.len(),
-                levels,
+                levels: spec.personality.levels().to_vec(),
                 faults,
             },
         },

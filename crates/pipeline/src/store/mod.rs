@@ -70,6 +70,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
+use crate::serve::chaos::{parse_positive_count, plan_from_env};
 use io::{FailingIo, OsIo, StoreIo};
 
 use holes_compiler::{CompilerConfig, Executable, Fingerprint};
@@ -88,7 +89,9 @@ pub const CACHE_DIR_ENV: &str = "HOLES_CACHE_DIR";
 /// chaos testing: `HOLES_STORE_CHAOS=<n>` makes every `n`th store file
 /// operation of the [`ArtifactStore::from_env`] store fail (see
 /// [`io::FailingIo::every`]). Campaign *results* must be unaffected — only
-/// the retry/error counters and cache effectiveness may change.
+/// the retry/error counters and cache effectiveness may change. Empty or
+/// `0` means no chaos; any other value that is not a positive count is a
+/// hard `exit 1` when the store opens, like the other chaos variables.
 pub const STORE_CHAOS_ENV: &str = "HOLES_STORE_CHAOS";
 
 /// What a [`RemoteSource`] lookup produced: a full artifact envelope, a
@@ -374,12 +377,12 @@ impl ArtifactStore {
                 let dir = std::env::var(CACHE_DIR_ENV)
                     .ok()
                     .filter(|dir| !dir.is_empty())?;
-                let chaos = std::env::var(STORE_CHAOS_ENV)
-                    .ok()
-                    .and_then(|value| value.parse::<usize>().ok())
-                    .filter(|&period| period > 0);
+                let chaos = plan_from_env(STORE_CHAOS_ENV, |raw| match raw.trim() {
+                    "" | "0" => Ok(None),
+                    period => parse_positive_count(period).map(Some),
+                });
                 let io: Box<dyn StoreIo> = match chaos {
-                    Some(period) => Box::new(FailingIo::every(period)),
+                    Some(period) => Box::new(FailingIo::every(period as usize)),
                     None => Box::new(OsIo),
                 };
                 match ArtifactStore::open_with_io(&dir, io) {

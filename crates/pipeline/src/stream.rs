@@ -34,13 +34,13 @@ use std::io::Write;
 use holes_compiler::OptLevel;
 use holes_core::json::Json;
 
-use crate::campaign::{subject_records, CampaignResult, ViolationRecord};
-use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
+use crate::campaign::{evaluate_seeds, CampaignResult, ViolationRecord};
+use crate::fault::{FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{
     check_record_order, fault_from_json, fault_to_json, parse_levels, parse_spec_header,
     record_from_json, record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, ShardError,
 };
-use crate::{par, CacheStats, Subject};
+use crate::{par, CacheStats};
 
 /// The identifying first-line `format` value of a JSON Lines shard file.
 pub const CAMPAIGN_JSONL_FORMAT: &str = "holes.campaign-jsonl/v1";
@@ -195,17 +195,16 @@ pub struct StreamRun {
 
 /// Evaluate the shard's seeds from global subject index `from_index`
 /// onwards, writing each subject's lines as its chunk completes — the
-/// shared engine of [`run_shard_streaming_with_policy`] and
-/// [`resume_shard_streaming`]. Each subject runs under
-/// [`fault::contain`], so a panicking or fuel-exhausted subject becomes one
-/// fault line instead of tearing down the shard.
+/// shared engine of [`run_shard_streaming`] and [`resume_shard_streaming`].
+/// Each chunk is one pass of the campaign's per-seed evaluator, so a
+/// panicking or fuel-exhausted subject becomes one fault line instead of
+/// tearing down the shard.
 fn stream_seeds<W: Write>(
     writer: &mut CampaignJsonlWriter<W>,
     spec: &CampaignSpec,
     policy: &FaultPolicy,
     from_index: usize,
 ) -> Result<CacheStats, StreamError> {
-    let levels = spec.personality.levels().to_vec();
     let mut stats = CacheStats::default();
     let start = spec.seeds.start;
     let mut seeds = spec
@@ -217,22 +216,7 @@ fn stream_seeds<W: Write>(
         if chunk.is_empty() {
             break;
         }
-        let per_seed = par::par_map(&chunk, |_, &seed| {
-            let global_index = (seed - start) as usize;
-            fault::contain(policy, seed, global_index, || {
-                let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-                let records = subject_records(
-                    &subject,
-                    global_index,
-                    spec.personality,
-                    spec.version,
-                    spec.backend,
-                    &levels,
-                );
-                (records, subject.cache_stats())
-            })
-        });
-        for outcome in per_seed {
+        for outcome in evaluate_seeds(spec, &chunk, policy, |_, records| records) {
             match outcome {
                 SubjectOutcome::Completed((records, subject_stats)) => {
                     stats.absorb(subject_stats);
@@ -251,38 +235,24 @@ fn stream_seeds<W: Write>(
     Ok(stats)
 }
 
-/// Run one campaign shard, streaming each seed's records to `out` as soon
-/// as they are computed. Seeds are evaluated in parallel chunks and emitted
-/// in seed order, so the stream's record sequence is exactly the classic
-/// driver's — but the full record vector is **never** materialized, and
-/// subjects are dropped as their chunk completes.
+/// Run one campaign shard under a [`FaultPolicy`], streaming each seed's
+/// records to `out` as soon as they are computed. Seeds are evaluated in
+/// parallel chunks and emitted in seed order, so the stream's record
+/// sequence is exactly the classic driver's — but the full record vector
+/// is **never** materialized, and subjects are dropped as their chunk
+/// completes.
 ///
-/// Returns the number of records emitted and the evaluation-engine
-/// activity aggregated over all subjects (what `holes campaign --stats`
-/// reports). Runs with the default (inert) [`FaultPolicy`]; use
-/// [`run_shard_streaming_with_policy`] to contain faulting subjects.
+/// Each subject is evaluated inside [`crate::fault::contain`], and
+/// contained faults are emitted as `{"fault": …}` lines in subject order,
+/// interleaved with the record lines. With the default policy no fault
+/// line is ever written. Returns the emitted line counts and the
+/// evaluation-engine activity aggregated over all subjects (what
+/// `holes campaign --stats` reports).
 ///
 /// # Errors
 ///
 /// Returns the spec validation failure or the sink's I/O error.
 pub fn run_shard_streaming<W: Write>(
-    spec: &CampaignSpec,
-    out: W,
-) -> Result<(usize, CacheStats), StreamError> {
-    let run = run_shard_streaming_with_policy(spec, out, &FaultPolicy::default())?;
-    Ok((run.records, run.stats))
-}
-
-/// [`run_shard_streaming`] under an explicit [`FaultPolicy`]: each subject
-/// is evaluated inside [`fault::contain`], and contained faults are emitted
-/// as `{"fault": …}` lines in subject order, interleaved with the record
-/// lines. With the default policy the output is byte-identical to
-/// [`run_shard_streaming`].
-///
-/// # Errors
-///
-/// Returns the spec validation failure or the sink's I/O error.
-pub fn run_shard_streaming_with_policy<W: Write>(
     spec: &CampaignSpec,
     out: W,
     policy: &FaultPolicy,
@@ -299,7 +269,7 @@ pub fn run_shard_streaming_with_policy<W: Write>(
 }
 
 /// Fold a complete set of shard runs into one **unsharded** JSON Lines
-/// stream, byte-identical to [`run_shard_streaming_with_policy`] over the
+/// stream, byte-identical to [`run_shard_streaming`] over the
 /// whole range in a single process — the merge seam the distributed
 /// coordinator ([`crate::serve`]) writes its final report through.
 ///
@@ -876,7 +846,7 @@ mod tests {
 
     fn streamed(spec: &CampaignSpec) -> String {
         let mut out = Vec::new();
-        run_shard_streaming(spec, &mut out).expect("streaming run");
+        run_shard_streaming(spec, &mut out, &FaultPolicy::default()).expect("streaming run");
         String::from_utf8(out).expect("UTF-8 stream")
     }
 
@@ -999,7 +969,7 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut out = Vec::new();
-        let run = run_shard_streaming_with_policy(&spec(range), &mut out, &policy).expect("run");
+        let run = run_shard_streaming(&spec(range), &mut out, &policy).expect("run");
         assert_eq!(run.faulted, 2);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"fault\":\"generate\""), "{text}");
@@ -1122,7 +1092,7 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut out = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut out, &policy).expect("run");
+        run_shard_streaming(&spec, &mut out, &policy).expect("run");
         let scratch = ScratchFile::new("faulted");
         std::fs::write(&scratch.0, &out[..out.len() * 2 / 3]).unwrap();
         resume_shard_streaming(&spec, &scratch.0, &policy).expect("resume");
@@ -1169,12 +1139,12 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut faulted_ref = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut faulted_ref, &policy).expect("run");
+        run_shard_streaming(&spec, &mut faulted_ref, &policy).expect("run");
         let runs: Vec<CampaignShard> = (0..3)
             .map(|i| {
                 let mut out = Vec::new();
                 let shard_spec = spec.clone().with_shard(3, i);
-                run_shard_streaming_with_policy(&shard_spec, &mut out, &policy).expect("run");
+                run_shard_streaming(&shard_spec, &mut out, &policy).expect("run");
                 read_jsonl_shard(&String::from_utf8(out).unwrap()).unwrap()
             })
             .collect();

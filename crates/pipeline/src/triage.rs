@@ -27,7 +27,7 @@ use holes_compiler::{BackendKind, CompilerConfig, Personality};
 use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 
-use crate::campaign::{subject_records, unique_key, CampaignResult, UniqueKey};
+use crate::campaign::{evaluate_seeds, unique_key, CampaignResult, UniqueKey, ViolationRecord};
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::par;
 use crate::shard::{parse_levels, parse_spec_header, spec_header_pairs, CampaignSpec, ShardError};
@@ -231,6 +231,19 @@ impl TriageTable {
         }
     }
 
+    /// Count one triaged violation of `conjecture` against each of its
+    /// culprits.
+    fn attribute(&mut self, conjecture: Conjecture, outcome: TriageOutcome) {
+        for culprit in outcome.culprits {
+            *self
+                .counts
+                .entry(conjecture)
+                .or_default()
+                .entry(culprit)
+                .or_insert(0) += 1;
+        }
+    }
+
     /// Number of distinct passes (or flag combinations) identified.
     pub fn distinct_culprits(&self) -> usize {
         let all: BTreeSet<&String> = self.counts.values().flat_map(|m| m.keys()).collect();
@@ -276,6 +289,23 @@ impl TriageTable {
     }
 }
 
+/// The violations to triage, in record order: the first record of each
+/// unique violation ([`UniqueKey`]), at most `limit` per conjecture.
+fn select_unique(records: &[ViolationRecord], limit: usize) -> Vec<&ViolationRecord> {
+    let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
+    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
+    let mut selected = Vec::new();
+    for record in records {
+        let taken = taken.entry(record.violation.conjecture).or_insert(0);
+        if *taken >= limit || !seen.insert(unique_key(record)) {
+            continue;
+        }
+        *taken += 1;
+        selected.push(record);
+    }
+    selected
+}
+
 /// Triage a sample of the unique violations of a campaign and build Table 2.
 ///
 /// `per_conjecture_limit` bounds how many violations are triaged for each
@@ -290,32 +320,11 @@ pub fn triage_campaign(
     result: &CampaignResult,
     per_conjecture_limit: usize,
 ) -> TriageTable {
-    triage_campaign_on(
-        subjects,
-        personality,
-        version,
-        BackendKind::Reg,
-        result,
-        per_conjecture_limit,
-    )
-}
-
-/// [`triage_campaign`] targeting an explicit backend (the campaign result
-/// must have been produced on the same backend, or the oracle will not
-/// reproduce the violations).
-pub fn triage_campaign_on(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
-    result: &CampaignResult,
-    per_conjecture_limit: usize,
-) -> TriageTable {
     triage_campaign_on_with_policy(
         subjects,
         personality,
         version,
-        backend,
+        BackendKind::Reg,
         result,
         per_conjecture_limit,
         &FaultPolicy::default(),
@@ -323,7 +332,9 @@ pub fn triage_campaign_on(
     .0
 }
 
-/// [`triage_campaign_on`] under an explicit [`FaultPolicy`]: each selected
+/// [`triage_campaign`] on an explicit backend (the campaign result must
+/// have been produced on the same backend, or the oracle will not reproduce
+/// the violations) and under an explicit [`FaultPolicy`]: each selected
 /// violation's triage runs inside [`fault::contain`], so a panicking or
 /// fuel-exhausted probe is recorded as a [`SubjectFault`] (in selection
 /// order) instead of tearing down the whole triage. Faulted triages
@@ -338,20 +349,7 @@ pub fn triage_campaign_on_with_policy(
     per_conjecture_limit: usize,
     policy: &FaultPolicy,
 ) -> (TriageTable, Vec<SubjectFault>) {
-    let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
-    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-    let mut selected: Vec<&crate::campaign::ViolationRecord> = Vec::new();
-    for record in &result.records {
-        let conjecture = record.violation.conjecture;
-        if *taken.get(&conjecture).unwrap_or(&0) >= per_conjecture_limit {
-            continue;
-        }
-        if !seen.insert(unique_key(record)) {
-            continue;
-        }
-        *taken.entry(conjecture).or_insert(0) += 1;
-        selected.push(record);
-    }
+    let selected = select_unique(&result.records, per_conjecture_limit);
     let outcomes = par::par_map(&selected, |_, record| {
         fault::contain(policy, record.seed, record.subject, || {
             let config = CompilerConfig::new(personality, record.level)
@@ -376,14 +374,7 @@ pub fn triage_campaign_on_with_policy(
     for (record, outcome) in selected.iter().zip(outcomes) {
         match outcome {
             SubjectOutcome::Completed(outcome) => {
-                for culprit in outcome.culprits {
-                    *table
-                        .counts
-                        .entry(record.violation.conjecture)
-                        .or_default()
-                        .entry(culprit)
-                        .or_insert(0) += 1;
-                }
+                table.attribute(record.violation.conjecture, outcome);
             }
             SubjectOutcome::Faulted(subject_fault) => faults.push(subject_fault),
         }
@@ -419,8 +410,11 @@ pub struct TriageShard {
 }
 
 /// Run one shard of a sharded triage (see [`TriageShard`] for the
-/// selection semantics), returning the shard plus the aggregated
-/// evaluation-engine activity.
+/// selection semantics) under a [`FaultPolicy`]: each seed's whole
+/// evaluation (campaign records plus its triages) runs inside
+/// [`fault::contain`]. Returns the shard, the faulted seeds in subject
+/// order (a faulted seed contributes nothing to the table), and the
+/// aggregated evaluation-engine activity.
 ///
 /// # Errors
 ///
@@ -428,66 +422,20 @@ pub struct TriageShard {
 pub fn run_triage_shard(
     spec: &CampaignSpec,
     limit: usize,
-) -> Result<(TriageShard, crate::CacheStats), ShardError> {
-    let (shard, _, stats) = run_triage_shard_with_policy(spec, limit, &FaultPolicy::default())?;
-    Ok((shard, stats))
-}
-
-/// [`run_triage_shard`] under an explicit [`FaultPolicy`]: each seed's
-/// whole evaluation (campaign records plus its triages) runs inside
-/// [`fault::contain`]. A faulted seed contributes nothing to the table and
-/// is reported as a [`SubjectFault`] in subject order.
-///
-/// # Errors
-///
-/// Returns the spec validation failure.
-pub fn run_triage_shard_with_policy(
-    spec: &CampaignSpec,
-    limit: usize,
     policy: &FaultPolicy,
 ) -> Result<(TriageShard, Vec<SubjectFault>, crate::CacheStats), ShardError> {
     spec.validate()?;
-    let levels = spec.personality.levels().to_vec();
     let seeds = spec.shard_seeds();
-    let per_seed = par::par_map(&seeds, |_, &seed| {
-        let global_index = (seed - spec.seeds.start) as usize;
-        fault::contain(policy, seed, global_index, || {
-            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-            let records = subject_records(
-                &subject,
-                global_index,
-                spec.personality,
-                spec.version,
-                spec.backend,
-                &levels,
-            );
-            let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
-            let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-            let mut table = TriageTable::default();
-            for record in &records {
-                let conjecture = record.violation.conjecture;
-                if *taken.get(&conjecture).unwrap_or(&0) >= limit {
-                    continue;
-                }
-                if !seen.insert(unique_key(record)) {
-                    continue;
-                }
-                *taken.entry(conjecture).or_insert(0) += 1;
-                let config = CompilerConfig::new(spec.personality, record.level)
-                    .with_version(spec.version)
-                    .with_backend(spec.backend);
-                let outcome = triage(&subject, &config, &record.violation);
-                for culprit in outcome.culprits {
-                    *table
-                        .counts
-                        .entry(conjecture)
-                        .or_default()
-                        .entry(culprit)
-                        .or_insert(0) += 1;
-                }
-            }
-            (table, subject.cache_stats())
-        })
+    let per_seed = evaluate_seeds(spec, &seeds, policy, |subject, records| {
+        let mut table = TriageTable::default();
+        for record in select_unique(&records, limit) {
+            let config = CompilerConfig::new(spec.personality, record.level)
+                .with_version(spec.version)
+                .with_backend(spec.backend);
+            let outcome = triage(subject, &config, &record.violation);
+            table.attribute(record.violation.conjecture, outcome);
+        }
+        table
     });
     let mut table = TriageTable::default();
     let mut faults = Vec::new();
@@ -776,7 +724,7 @@ mod tests {
         for personality in [Personality::Lcc, Personality::Ccg] {
             let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(0, 12))
                 .with_backend(BackendKind::Stack);
-            let (shard, _) = run_triage_shard(&spec, 3).unwrap();
+            let (shard, _, _) = run_triage_shard(&spec, 3, &FaultPolicy::default()).unwrap();
             assert!(
                 !shard.table.counts.is_empty(),
                 "{personality}: stack campaign exposed nothing to triage"
@@ -802,7 +750,7 @@ mod tests {
         use holes_progen::SeedRange;
         let personality = Personality::Lcc;
         let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2600, 2612));
-        let (monolithic, stats) = run_triage_shard(&spec, 2).unwrap();
+        let (monolithic, _, stats) = run_triage_shard(&spec, 2, &FaultPolicy::default()).unwrap();
         assert!(stats.compiles > 0, "triage compiled nothing");
         assert!(
             !monolithic.table.counts.is_empty(),
@@ -811,8 +759,12 @@ mod tests {
         for shards in [2u64, 3] {
             let mut runs: Vec<TriageShard> = (0..shards)
                 .map(|index| {
-                    let (run, _) =
-                        run_triage_shard(&spec.clone().with_shard(shards, index), 2).unwrap();
+                    let (run, _, _) = run_triage_shard(
+                        &spec.clone().with_shard(shards, index),
+                        2,
+                        &FaultPolicy::default(),
+                    )
+                    .unwrap();
                     let rendered = run.to_json().to_pretty();
                     let reparsed =
                         TriageShard::from_json(&Json::parse(&rendered).unwrap()).unwrap();
@@ -840,8 +792,10 @@ mod tests {
             Personality::Lcc.trunk(),
             SeedRange::new(2620, 2624),
         );
-        let (s0, _) = run_triage_shard(&spec.clone().with_shard(2, 0), 1).unwrap();
-        let (s1, _) = run_triage_shard(&spec.clone().with_shard(2, 1), 1).unwrap();
+        let (s0, _, _) =
+            run_triage_shard(&spec.clone().with_shard(2, 0), 1, &FaultPolicy::default()).unwrap();
+        let (s1, _, _) =
+            run_triage_shard(&spec.clone().with_shard(2, 1), 1, &FaultPolicy::default()).unwrap();
         assert!(merge_triage_shards(Vec::new()).is_err(), "empty set");
         assert!(
             merge_triage_shards(vec![s0.clone()]).is_err(),
@@ -875,7 +829,7 @@ mod tests {
             Personality::Ccg.trunk(),
             SeedRange::new(2630, 2634),
         );
-        let (run, _) = run_triage_shard(&spec, 1).unwrap();
+        let (run, _, _) = run_triage_shard(&spec, 1, &FaultPolicy::default()).unwrap();
         let good = run.to_json().to_pretty();
         for (needle, replacement) in [
             ("holes.triage-shard/v1", "holes.triage-shard/v0"),

@@ -53,7 +53,7 @@ fn spec(start: u64, len: u64) -> CampaignSpec {
 fn reference_stream(campaign: &CampaignSpec) -> Vec<u8> {
     install_process_store(None);
     let mut out = Vec::new();
-    run_shard_streaming(campaign, &mut out).expect("reference run");
+    run_shard_streaming(campaign, &mut out, &FaultPolicy::default()).expect("reference run");
     out
 }
 
@@ -282,7 +282,9 @@ fn a_warm_shared_cache_fleet_performs_zero_compiles() {
         Arc::new(ArtifactStore::open(&coord_dir.path).expect("coordinator store opens"));
     install_process_store(Some(Arc::clone(&coord_store)));
     let mut reference = Vec::new();
-    let (_, warm_stats) = run_shard_streaming(&campaign, &mut reference).expect("warming run");
+    let warm_stats = run_shard_streaming(&campaign, &mut reference, &FaultPolicy::default())
+        .expect("warming run")
+        .stats;
     assert!(warm_stats.compiles > 0, "the warming run paid the compiles");
     install_process_store(None);
 
@@ -404,7 +406,8 @@ fn flip_donor() -> &'static (Arc<ArtifactStore>, Vec<u8>) {
         let store = Arc::new(ArtifactStore::open(&path).expect("donor store opens"));
         install_process_store(Some(Arc::clone(&store)));
         let mut reference = Vec::new();
-        run_shard_streaming(&spec(4900, 2), &mut reference).expect("warming run");
+        run_shard_streaming(&spec(4900, 2), &mut reference, &FaultPolicy::default())
+            .expect("warming run");
         install_process_store(None);
         (store, reference)
     })
@@ -433,7 +436,9 @@ proptest! {
         victim.attach_remote(Arc::new(FlippingSource { donor, flip }));
         install_process_store(Some(Arc::clone(&victim)));
         let mut out = Vec::new();
-        let (_, stats) = run_shard_streaming(&campaign, &mut out).expect("corrupted-cache run");
+        let stats = run_shard_streaming(&campaign, &mut out, &FaultPolicy::default())
+            .expect("corrupted-cache run")
+            .stats;
         install_process_store(None);
 
         prop_assert_eq!(
@@ -524,7 +529,8 @@ fn store_envelope_bytes_match_the_pinned_listing() {
             let campaign =
                 CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506))
                     .with_backend(backend);
-            run_shard_streaming(&campaign, std::io::sink()).expect("campaign runs");
+            run_shard_streaming(&campaign, std::io::sink(), &FaultPolicy::default())
+                .expect("campaign runs");
         }
     }
     install_process_store(None);
@@ -583,7 +589,7 @@ proptest! {
         let store = Arc::new(ArtifactStore::open(&victim_dir.path).expect("victim store opens"));
         install_process_store(Some(Arc::clone(&store)));
         let mut out = Vec::new();
-        run_shard_streaming(&campaign, &mut out).expect("flipped-store run");
+        run_shard_streaming(&campaign, &mut out, &FaultPolicy::default()).expect("flipped-store run");
         install_process_store(None);
         prop_assert_eq!(
             String::from_utf8(out).expect("UTF-8"),

@@ -422,7 +422,7 @@ proptest! {
     ) {
         use holes_pipeline::fault::FaultPolicy;
         use holes_pipeline::shard::CampaignSpec;
-        use holes_pipeline::stream::{resume_shard_streaming, run_shard_streaming_with_policy};
+        use holes_pipeline::stream::{resume_shard_streaming, run_shard_streaming};
         use holes_progen::SeedRange;
 
         let personality = Personality::Ccg;
@@ -431,7 +431,7 @@ proptest! {
         let policy = FaultPolicy::default();
 
         let mut full: Vec<u8> = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut full, &policy).unwrap();
+        run_shard_streaming(&spec, &mut full, &policy).unwrap();
 
         // The kill point covers the whole file, endpoints included: 0 is a
         // fresh start, `full.len()` an already-complete no-op.
