@@ -40,9 +40,11 @@ use std::sync::Arc;
 
 use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::json::Json;
-use holes::core::Conjecture;
+use holes::core::{Conjecture, Violation};
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
-use holes::pipeline::campaign::{run_campaign_on_with_policy, unique_key, CampaignTallies};
+use holes::pipeline::campaign::{
+    run_campaign_on_with_policy, unique_key, CampaignResult, CampaignTallies, ViolationRecord,
+};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
 use holes::pipeline::par::par_map;
 use holes::pipeline::reduce::reduce_with_policy;
@@ -53,14 +55,11 @@ use holes::pipeline::serve::{
     run_worker, Coordinator, LeaseConfig, RemoteStore, ServeConfig, WorkerConfig,
 };
 use holes::pipeline::shard::{
-    merge_shards, run_shard_with_policy, validate_shard_specs, CampaignShard, CampaignSpec,
-    ShardError,
+    fold_shard, merge_shards, run_shard_with_policy, validate_shard_specs, CampaignShard,
+    CampaignSpec, ShardSummary,
 };
 use holes::pipeline::store::{install_process_store, CACHE_DIR_ENV};
-use holes::pipeline::stream::{
-    fold_jsonl_reader, is_jsonl_shard, parse_jsonl_header, read_jsonl_shard,
-    resume_shard_streaming, run_shard_streaming, StreamError,
-};
+use holes::pipeline::stream::{resume_shard_streaming, run_shard_streaming, StreamError};
 use holes::pipeline::triage::{
     merge_triage_shards, run_triage_shard, triage, triage_campaign_on_with_policy, TriageShard,
 };
@@ -571,16 +570,6 @@ Options:
   --cache-dir DIR Persist/reuse the artifacts --issues recompiles
 ";
 
-/// Parse one shard file of either format, auto-detected by its first line.
-fn parse_shard_file(path: &str) -> Result<CampaignShard, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
-    if is_jsonl_shard(&text) {
-        return read_jsonl_shard(&text).map_err(|e| format!("`{path}`: {e}"));
-    }
-    let json = Json::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
-    CampaignShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))
-}
-
 fn cmd_report(argv: &[String]) -> Result<RunStatus, String> {
     let spec = Spec {
         options: &["out", "issues", "cache-dir", "format"],
@@ -603,27 +592,7 @@ fn cmd_report(argv: &[String]) -> Result<RunStatus, String> {
     }
     // `--issues` classifies the first N unique violations in canonical
     // merged-record order, so this path still materializes the records.
-    let mut shards = Vec::new();
-    for path in parsed.positionals() {
-        shards.push(parse_shard_file(path)?);
-    }
-    let campaign = shards[0].spec.clone();
-    // Remember which file carried which shard, so a merge failure (duplicate
-    // shard index, foreign campaign, missing shard) names the files at
-    // fault, not just the indices.
-    let origins: Vec<String> = parsed
-        .positionals()
-        .iter()
-        .zip(&shards)
-        .map(|(path, shard)| {
-            format!(
-                "`{path}` (shard {}/{})",
-                shard.spec.shard, shard.spec.shards
-            )
-        })
-        .collect();
-    let result = merge_shards(shards)
-        .map_err(|e: ShardError| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let (campaign, result) = merge_shard_files(parsed.positionals())?;
     // Regenerates only the (at most `issue_limit`) classified programs
     // from their seeds, not the campaign's full range.
     let issues = build_report_from_seeds(
@@ -650,67 +619,90 @@ fn report_streaming(parsed: &Parsed) -> Result<RunStatus, String> {
     render_report(parsed, &campaign, &tallies, None)
 }
 
-/// Fold campaign shard files into one [`CampaignTallies`] accumulator —
-/// line by line for JSONL shards, per parsed document for classic shards —
-/// and validate that together they cover one campaign exactly once. The
-/// deterministic-merge seam shared by `holes report` and `holes baseline
-/// record`/`diff`: both commands see the identical merged campaign, so a
-/// sharded baseline is byte-identical to an unsharded one.
+/// Fold campaign shard files of either format into one
+/// [`CampaignTallies`] accumulator, record by record, and validate that
+/// together they cover one campaign exactly once. The deterministic-merge
+/// seam shared by `holes report` and `holes baseline record`/`diff`: both
+/// commands see the identical merged campaign, so a sharded baseline is
+/// byte-identical to an unsharded one.
 fn fold_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignTallies), String> {
-    use std::io::{BufRead, Read};
-    let mut specs: Vec<CampaignSpec> = Vec::new();
     let mut tallies: Option<CampaignTallies> = None;
+    let mut specs: Vec<CampaignSpec> = Vec::new();
     for path in paths {
-        let file = std::fs::File::open(path).map_err(|e| format!("reading `{path}`: {e}"))?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut first_line = String::new();
-        reader
-            .read_line(&mut first_line)
-            .map_err(|e| format!("reading `{path}`: {e}"))?;
-        if is_jsonl_shard(&first_line) {
-            let (spec, levels) =
-                parse_jsonl_header(first_line.trim_end()).map_err(|e| format!("`{path}`: {e}"))?;
-            let into = tallies
-                .get_or_insert_with(|| CampaignTallies::new(levels, spec.seeds.len() as usize));
-            // Chain the already-consumed header line back in front of the
-            // remaining stream, so the reader sees the whole file.
-            let chained = std::io::Cursor::new(first_line.clone()).chain(reader);
-            let summary = fold_jsonl_reader(chained, |record| into.add(&record))
-                .map_err(|e| format!("`{path}`: {e}"))?;
-            for _ in &summary.faults {
-                into.add_fault();
-            }
-            specs.push(summary.spec);
-        } else {
-            // A classic holes.campaign/v1 document: parse it, fold its
-            // records, and drop it before the next file is opened.
-            let mut text = first_line;
-            reader
-                .read_to_string(&mut text)
-                .map_err(|e| format!("reading `{path}`: {e}"))?;
-            let json = Json::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
-            let shard = CampaignShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))?;
-            let into = tallies.get_or_insert_with(|| {
-                CampaignTallies::new(shard.result.levels.clone(), shard.spec.seeds.len() as usize)
-            });
-            for record in &shard.result.records {
-                into.add(record);
-            }
-            for _ in &shard.result.faults {
-                into.add_fault();
-            }
-            specs.push(shard.spec);
+        let summary = fold_shard_file(path, |spec, record| {
+            tallies
+                .get_or_insert_with(|| campaign_tallies(spec))
+                .add(&record);
+        })?;
+        let into = tallies.get_or_insert_with(|| campaign_tallies(&summary.spec));
+        for _ in &summary.faults {
+            into.add_fault();
         }
+        specs.push(summary.spec);
     }
-    let origins: Vec<String> = paths
-        .iter()
-        .zip(&specs)
-        .map(|(path, spec)| format!("`{path}` (shard {}/{})", spec.shard, spec.shards))
-        .collect();
-    let campaign = validate_shard_specs(&specs)
-        .map_err(|e| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let campaign = validate_shard_specs(&specs).map_err(|e| inputs_were(e, paths, &specs))?;
     let tallies = tallies.expect("at least one input file was folded");
     Ok((campaign, tallies))
+}
+
+/// An empty accumulator for the whole campaign a shard belongs to.
+fn campaign_tallies(spec: &CampaignSpec) -> CampaignTallies {
+    CampaignTallies::new(
+        spec.personality.levels().to_vec(),
+        spec.seeds.len() as usize,
+    )
+}
+
+/// Read campaign shard files of either format and merge them into the
+/// monolithic result, in canonical merged-record order — for the consumers
+/// that need the records themselves (`report --issues`, `corpus add`).
+/// Returns the first file's spec with the merged result.
+fn merge_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignResult), String> {
+    let mut shards = Vec::new();
+    for path in paths {
+        let mut records = Vec::new();
+        let summary = fold_shard_file(path, |_, record| records.push(record))?;
+        shards.push(CampaignShard {
+            spec: summary.spec,
+            result: CampaignResult {
+                records,
+                programs: summary.programs,
+                levels: summary.levels,
+                faults: summary.faults,
+            },
+        });
+    }
+    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
+    let result = merge_shards(shards).map_err(|e| inputs_were(e, paths, &specs))?;
+    let campaign = specs
+        .into_iter()
+        .next()
+        .expect("merge_shards rejects no shards");
+    Ok((campaign, result))
+}
+
+/// [`fold_shard`] over one file, with the file named in any error.
+fn fold_shard_file(
+    path: &str,
+    each: impl FnMut(&CampaignSpec, ViolationRecord),
+) -> Result<ShardSummary, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("reading `{path}`: {e}"))?;
+    fold_shard(std::io::BufReader::new(file), each).map_err(|error| match error {
+        StreamError::Io(e) => format!("reading `{path}`: {e}"),
+        StreamError::Shard(e) => format!("`{path}`: {e}"),
+    })
+}
+
+/// A merge failure (duplicate shard index, foreign campaign, missing
+/// shard) with the files at fault named, not just the indices: `specs[i]`
+/// is the shard `paths[i]` carried.
+fn inputs_were(error: impl std::fmt::Display, paths: &[String], specs: &[CampaignSpec]) -> String {
+    let origins: Vec<String> = paths
+        .iter()
+        .zip(specs)
+        .map(|(path, spec)| format!("`{path}` (shard {}/{})", spec.shard, spec.shards))
+        .collect();
+    format!("{error}; inputs were: {}", origins.join(", "))
 }
 
 /// Render the merged campaign — JSON summary and/or the text tables — from
@@ -1176,22 +1168,37 @@ fn corpus_add(parsed: &Parsed, files: &[String]) -> Result<RunStatus, String> {
 /// Distill the first violation of one seeded program (the `--seed` mode of
 /// `corpus add`), honoring the personality/version/backend/level options.
 fn corpus_distill_seed(parsed: &Parsed, seed: u64) -> Result<Vec<CorpusEntry>, String> {
+    let (subject, config, violation) = first_violation(parsed, seed)??;
+    Ok(vec![distill(&subject, &config, &violation)])
+}
+
+/// The seeded program's first violation under the personality, version,
+/// and backend options: at `--level` (which must be one the personality
+/// evaluates), or at the first level of its schedule that violates. The
+/// inner `Err` is the "no violations" message, which `reduce` prints and
+/// `corpus add --seed` fails with.
+fn first_violation(
+    parsed: &Parsed,
+    seed: u64,
+) -> Result<Result<(Subject, CompilerConfig, Violation), String>, String> {
     let personality = personality_of(parsed)?;
     let version = version_of(parsed, personality)?;
     let backend = backend_of(parsed)?;
     let subject = Subject::from_seed(seed);
+    let flags = |levels: &[OptLevel]| {
+        levels
+            .iter()
+            .map(|l| l.flag())
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let levels: Vec<OptLevel> = match parsed.opt("level") {
         Some(raw) => {
             let level: OptLevel = raw.parse().map_err(|e| format!("{e}"))?;
             if !personality.levels().contains(&level) {
                 return Err(format!(
                     "{personality} does not evaluate {level} (levels: {})",
-                    personality
-                        .levels()
-                        .iter()
-                        .map(|l| l.flag())
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    flags(personality.levels())
                 ));
             }
             vec![level]
@@ -1205,42 +1212,22 @@ fn corpus_distill_seed(parsed: &Parsed, seed: u64) -> Result<Vec<CorpusEntry>, S
         let violation = subject.violations(&config).first().cloned()?;
         Some((config, violation))
     });
-    let Some((config, violation)) = found else {
-        return Err(format!(
+    Ok(match found {
+        Some((config, violation)) => Ok((subject, config, violation)),
+        None => Err(format!(
             "seed {seed}: no violations under {} {} at {}",
             personality,
             personality.version_names()[version],
-            levels
-                .iter()
-                .map(|l| l.flag())
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-    };
-    Ok(vec![distill(&subject, &config, &violation)])
+            flags(&levels),
+        )),
+    })
 }
 
 /// Distill up to `limit` unique violations of the merged campaign the
 /// shard files describe, in canonical merged-record order (the shard-file
 /// mode of `corpus add`).
 fn corpus_distill_shards(files: &[String], limit: usize) -> Result<Vec<CorpusEntry>, String> {
-    let mut shards = Vec::new();
-    for path in files {
-        shards.push(parse_shard_file(path)?);
-    }
-    let campaign = shards[0].spec.clone();
-    let origins: Vec<String> = files
-        .iter()
-        .zip(&shards)
-        .map(|(path, shard)| {
-            format!(
-                "`{path}` (shard {}/{})",
-                shard.spec.shard, shard.spec.shards
-            )
-        })
-        .collect();
-    let result = merge_shards(shards)
-        .map_err(|e: ShardError| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let (campaign, result) = merge_shard_files(files)?;
     let mut seen = std::collections::BTreeSet::new();
     let mut entries = Vec::new();
     for record in &result.records {
@@ -1906,8 +1893,10 @@ fn triage_merge(parsed: &Parsed, top: usize) -> Result<RunStatus, String> {
         let json = Json::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
         shards.push(TriageShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))?);
     }
-    let first = shards[0].clone();
-    let table = merge_triage_shards(shards).map_err(|e| e.to_string())?;
+    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
+    let limit = shards[0].limit;
+    let table =
+        merge_triage_shards(shards).map_err(|e| inputs_were(e, parsed.positionals(), &specs))?;
     let rendered = table.to_json().to_pretty();
     write_out(parsed, &rendered)?;
     if parsed.switch("json") {
@@ -1916,13 +1905,13 @@ fn triage_merge(parsed: &Parsed, top: usize) -> Result<RunStatus, String> {
     }
     // No shard count in the header: merging K files must render
     // byte-identically to merging the single K=1 file.
+    let first = &specs[0];
     outln!(
-        "triage: {} {}, seeds {}{}, up to {} violations per conjecture per subject",
-        first.spec.personality,
-        first.spec.personality.version_names()[first.spec.version],
-        first.spec.seeds,
-        backend_suffix(first.spec.backend),
-        first.limit,
+        "triage: {} {}, seeds {}{}, up to {limit} violations per conjecture per subject",
+        first.personality,
+        first.personality.version_names()[first.version],
+        first.seeds,
+        backend_suffix(first.backend),
     );
     outln!();
     outln!("Table 2: culprit passes per conjecture (top {top})");
@@ -1977,49 +1966,12 @@ fn cmd_reduce(argv: &[String]) -> Result<RunStatus, String> {
             .map_err(|_| format!("invalid value for `--seed`: `{raw}`"))?,
         None => return Err("missing required option `--seed S`".into()),
     };
-    let personality = personality_of(&parsed)?;
-    let version = version_of(&parsed, personality)?;
-    let backend = backend_of(&parsed)?;
-    let subject = Subject::from_seed(seed);
-
-    // Pick the level: the requested one, or the first level that violates.
-    let levels: Vec<OptLevel> = match parsed.opt("level") {
-        Some(raw) => {
-            let level: OptLevel = raw.parse().map_err(|e| format!("{e}"))?;
-            if !personality.levels().contains(&level) {
-                return Err(format!(
-                    "{personality} does not evaluate {level} (levels: {})",
-                    personality
-                        .levels()
-                        .iter()
-                        .map(|l| l.flag())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-            vec![level]
+    let (subject, config, violation) = match first_violation(&parsed, seed)? {
+        Ok(found) => found,
+        Err(clean) => {
+            outln!("{clean}");
+            return Ok(RunStatus::Clean);
         }
-        None => personality.levels().to_vec(),
-    };
-    let found = levels.iter().find_map(|&level| {
-        let config = CompilerConfig::new(personality, level)
-            .with_version(version)
-            .with_backend(backend);
-        let violation = subject.violations(&config).first().cloned()?;
-        Some((config, violation))
-    });
-    let Some((config, violation)) = found else {
-        outln!(
-            "seed {seed}: no violations under {} {} at {}",
-            personality,
-            personality.version_names()[version],
-            levels
-                .iter()
-                .map(|l| l.flag())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        return Ok(RunStatus::Clean);
     };
     outln!(
         "seed {seed}: {} violation at {} — variable `{}` at line {}, observed {}",

@@ -874,6 +874,27 @@ fn injected_faults_exit_2_and_flow_into_the_report() {
     assert_eq!(report.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&report.stdout).contains("faulted subjects: 2"));
 
+    // A classic file whose fault entry is duplicated is rejected, exactly
+    // like the same edit to the stream: it must not count three faults.
+    use holes::core::json::Json;
+    let mut json = Json::parse(&std::fs::read_to_string(Path::new(&classic)).unwrap()).unwrap();
+    if let Json::Obj(pairs) = &mut json {
+        for (key, value) in pairs.iter_mut() {
+            if key == "faults" {
+                if let Json::Arr(faults) = value {
+                    let first = faults[0].clone();
+                    faults.insert(1, first);
+                }
+            }
+        }
+    }
+    let duplicated = scratch.path("duplicated-fault.json");
+    std::fs::write(Path::new(&duplicated), json.to_pretty()).unwrap();
+    let report = holes(&["report", &duplicated]);
+    assert_eq!(report.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert!(stderr.contains("canonical campaign order"), "{stderr}");
+
     // Fault-free runs of the same range are untouched: exit 0 and not a
     // word about faults anywhere.
     let clean = holes(&[

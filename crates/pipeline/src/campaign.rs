@@ -610,8 +610,8 @@ mod tests {
 
     #[test]
     fn every_shard_driver_agrees_under_injected_faults() {
-        use crate::shard::run_shard_with_policy;
-        use crate::stream::{read_jsonl_shard, run_shard_streaming};
+        use crate::shard::{read_shard, run_shard_with_policy};
+        use crate::stream::run_shard_streaming;
         use crate::triage::run_triage_shard;
         use holes_progen::SeedRange;
 
@@ -629,7 +629,7 @@ mod tests {
         );
         let mut out = Vec::new();
         let run = run_shard_streaming(&spec, &mut out, &policy).unwrap();
-        let streamed = read_jsonl_shard(&String::from_utf8(out).unwrap()).unwrap();
+        let streamed = read_shard(&String::from_utf8(out).unwrap()).unwrap();
         assert_eq!(streamed, in_memory, "records and faults alike");
 
         let faulted = |faults: &[SubjectFault]| faults.iter().map(|f| f.seed).collect::<Vec<_>>();

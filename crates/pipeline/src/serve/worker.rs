@@ -29,8 +29,8 @@ use super::protocol::{connect_with_timeout, read_message, write_message, Reply, 
 use super::ServeError;
 use crate::cache::CacheStats;
 use crate::fault::FaultPolicy;
-use crate::shard::{spec_header_pairs, CampaignSpec};
-use crate::stream::{read_jsonl_shard, resume_shard_streaming, CAMPAIGN_JSONL_FORMAT};
+use crate::shard::{read_shard, spec_header_pairs, CampaignSpec};
+use crate::stream::{resume_shard_streaming, CAMPAIGN_JSONL_FORMAT};
 
 /// Worker configuration.
 #[derive(Debug)]
@@ -179,7 +179,7 @@ fn run_lease(
     }
 
     let text = std::fs::read_to_string(&path)?;
-    let shard = read_jsonl_shard(&text)?;
+    let shard = read_shard(&text)?;
     let request = Request::Result {
         lease,
         shard: Box::new(shard),

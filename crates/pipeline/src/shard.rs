@@ -15,6 +15,16 @@
 //! The integration tests and the `holes` CLI's `campaign`/`report`
 //! subcommands hold a K-sharded run to this equivalence for every rendered
 //! table.
+//!
+//! Shard files are read back through one API for both formats:
+//! [`fold_shard`] streams a file of either format through a record
+//! callback, [`read_shard`] materializes one, and
+//! [`CampaignShard::from_json`] parses a classic shard embedded in other
+//! JSON. Every reader, the `--resume` scan included, checks the order of
+//! records and faults with the same private check, so a file is trusted
+//! or rejected identically whichever format carries it.
+
+use std::io::{BufRead, Read};
 
 use holes_compiler::{BackendKind, OptLevel, Personality};
 use holes_core::json::Json;
@@ -24,6 +34,7 @@ use holes_progen::SeedRange;
 
 use crate::campaign::{evaluate_seeds, CampaignResult, ViolationRecord};
 use crate::fault::{FaultPolicy, FaultStage, SubjectFault, SubjectOutcome};
+use crate::stream::{StreamError, CAMPAIGN_JSONL_FORMAT};
 
 /// What to run: one personality's campaign over a seed range, as one shard
 /// of a (possibly single-shard) partition.
@@ -268,12 +279,17 @@ impl CampaignShard {
         Json::Obj(pairs)
     }
 
-    /// Parse and validate a shard file produced by [`CampaignShard::to_json`].
+    /// Parse and validate a shard document produced by
+    /// [`CampaignShard::to_json`] — the entry point for shards embedded in
+    /// other JSON (the fleet journal and `holes.rpc/v1`); files go through
+    /// [`fold_shard`] or [`read_shard`].
     ///
     /// Beyond field syntax this checks semantic consistency: the program
-    /// count matches the shard's seed slice, and every record's seed belongs
-    /// to this shard with the matching global subject index — so a merged
-    /// report can trust the records without re-deriving them.
+    /// count matches the shard's seed slice, every record's and fault's seed
+    /// belongs to this shard with the matching global subject index, and the
+    /// records and faults, merged by subject, pass the canonical-order check
+    /// every shard reader shares — so a merged report can trust them without
+    /// re-deriving them.
     pub fn from_json(json: &Json) -> Result<CampaignShard, ShardError> {
         let format = str_field(json, "format")?;
         if format != CAMPAIGN_FORMAT {
@@ -301,7 +317,6 @@ impl CampaignShard {
                 record_from_json(record, &spec).map_err(|error| error.for_record(index))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        validate_record_order(&records, &spec)?;
         let faults = match json.get("faults") {
             None => Vec::new(),
             Some(value) => value
@@ -315,6 +330,10 @@ impl CampaignShard {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
+        let mut order = OrderCheck::new(personality);
+        for entry in interleave(&records, &faults) {
+            order.admit(entry)?;
+        }
         Ok(CampaignShard {
             spec,
             result: CampaignResult {
@@ -327,58 +346,228 @@ impl CampaignShard {
     }
 }
 
-/// Enforce the canonical record order the drivers emit: ascending subject,
-/// then level in schedule order, then the sorted, deduplicated violation
-/// list of `check_all`. Strict ascent rejects duplicated, reordered, or
-/// injected records that would otherwise pass the per-record checks and
-/// silently inflate merged tables. Shared by the `holes.campaign/v1` parser
-/// and the JSON Lines reader ([`crate::stream`]).
-pub(crate) fn validate_record_order(
-    records: &[ViolationRecord],
-    spec: &CampaignSpec,
-) -> Result<(), ShardError> {
-    for (index, pair) in records.windows(2).enumerate() {
-        check_record_order(index, &pair[0], &pair[1], spec)?;
-    }
-    Ok(())
+/// What [`fold_shard`] validated about a shard file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardSummary {
+    /// The campaign spec from the file's header.
+    pub spec: CampaignSpec,
+    /// The level schedule from the header (already checked against the
+    /// personality).
+    pub levels: Vec<OptLevel>,
+    /// Programs covered by the shard.
+    pub programs: usize,
+    /// Records handed to the fold callback.
+    pub records: usize,
+    /// Contained subject faults carried by the file, in subject order.
+    /// Empty for runs without a fault policy.
+    pub faults: Vec<SubjectFault>,
 }
 
-/// The pairwise step of [`validate_record_order`]: record `index + 1` must
-/// sort strictly after record `index`. Streaming readers call this with
-/// only the previous record in hand, so a million-record stream is order-
-/// checked with O(1) memory.
-pub(crate) fn check_record_order(
-    index: usize,
-    a: &ViolationRecord,
-    b: &ViolationRecord,
-    spec: &CampaignSpec,
-) -> Result<(), ShardError> {
-    let level_index = |level: OptLevel| {
-        spec.personality
-            .levels()
-            .iter()
-            .position(|&l| l == level)
-            .expect("level membership checked per record")
-    };
-    if (a.subject, level_index(a.level), &a.violation)
-        >= (b.subject, level_index(b.level), &b.violation)
-    {
-        return Err(ShardError::Malformed(format!(
-            "records {} and {} are not in canonical campaign order (subject {} {} `{}` \
-             line {} followed by subject {} {} `{}` line {})",
-            index,
-            index + 1,
-            a.subject,
-            a.level,
-            a.violation.variable,
-            a.violation.line,
-            b.subject,
-            b.level,
-            b.violation.variable,
-            b.violation.line,
-        )));
+/// Read a campaign shard file of either format, handing each validated
+/// record to `each` together with the file's spec.
+///
+/// The format is detected from the first non-blank line. A
+/// `holes.campaign-jsonl/v1` header (or an empty input, which is a stream
+/// killed before its header) is folded line by line in bounded memory, with
+/// errors naming the line and record index (see [`crate::stream`]);
+/// anything else is parsed as one `holes.campaign/v1` document
+/// ([`CampaignShard::from_json`]). Both formats get the same checks:
+/// header consistency, per-entry membership, the canonical order of records
+/// and faults, and the file's own counts. Records handed to `each` before an
+/// error is discovered must be discarded by the caller (an aggregate built
+/// from a file that later fails validation is meaningless).
+///
+/// # Errors
+///
+/// Returns the first validation failure as a [`StreamError::Shard`], or the
+/// reader's failure as [`StreamError::Io`].
+pub fn fold_shard<R: BufRead>(
+    mut reader: R,
+    mut each: impl FnMut(&CampaignSpec, ViolationRecord),
+) -> Result<ShardSummary, StreamError> {
+    // Keep the blank lines before the first real one, so the JSON Lines
+    // reader sees the whole file and reports true line numbers.
+    let mut head = String::new();
+    while head.trim().is_empty() && reader.read_line(&mut head)? > 0 {}
+    let first = head.trim();
+    let jsonl = first.is_empty()
+        || Json::parse(first).is_ok_and(|header| {
+            header.get("format").and_then(Json::as_str) == Some(CAMPAIGN_JSONL_FORMAT)
+        });
+    if jsonl {
+        return crate::stream::fold_jsonl(std::io::Cursor::new(head).chain(reader), each);
     }
-    Ok(())
+    reader.read_to_string(&mut head)?;
+    let json = Json::parse(&head).map_err(|e| ShardError::Malformed(e.to_string()))?;
+    let CampaignShard { spec, result } = CampaignShard::from_json(&json)?;
+    let records = result.records.len();
+    for record in result.records {
+        each(&spec, record);
+    }
+    Ok(ShardSummary {
+        spec,
+        levels: result.levels,
+        programs: result.programs,
+        records,
+        faults: result.faults,
+    })
+}
+
+/// [`fold_shard`] over an in-memory file, materializing its records into a
+/// [`CampaignShard`]. Callers that only aggregate should fold instead and
+/// keep memory bounded.
+///
+/// # Errors
+///
+/// Returns a [`ShardError`] describing the first validation failure.
+pub fn read_shard(text: &str) -> Result<CampaignShard, ShardError> {
+    let mut records = Vec::new();
+    let summary = fold_shard(text.as_bytes(), |_, record| records.push(record)).map_err(
+        |error| match error {
+            StreamError::Shard(error) => error,
+            // Reading from an in-memory slice cannot fail; keep the error
+            // path total anyway.
+            StreamError::Io(error) => {
+                ShardError::Malformed(format!("I/O failure on an in-memory stream: {error}"))
+            }
+        },
+    )?;
+    Ok(CampaignShard {
+        spec: summary.spec,
+        result: CampaignResult {
+            records,
+            programs: summary.programs,
+            levels: summary.levels,
+            faults: summary.faults,
+        },
+    })
+}
+
+/// One body entry of a shard file, in either format: a violation record or
+/// a contained subject fault.
+pub(crate) enum Entry<'a> {
+    /// A violation record.
+    Record(&'a ViolationRecord),
+    /// A contained subject fault.
+    Fault(&'a SubjectFault),
+}
+
+/// A shard's records and faults merged by subject: the order both shard
+/// formats carry them in, and the order [`OrderCheck`] expects. On a tie
+/// the fault comes first, so a subject with both is reported as a record
+/// of an already faulted subject.
+pub(crate) fn interleave<'a>(
+    records: &'a [ViolationRecord],
+    faults: &'a [SubjectFault],
+) -> impl Iterator<Item = Entry<'a>> {
+    let mut records = records.iter().peekable();
+    let mut faults = faults.iter().peekable();
+    std::iter::from_fn(move || match (records.peek(), faults.peek()) {
+        (Some(record), Some(fault)) if record.subject < fault.subject => {
+            records.next().map(Entry::Record)
+        }
+        (_, Some(_)) => faults.next().map(Entry::Fault),
+        (Some(_), None) => records.next().map(Entry::Record),
+        (None, None) => None,
+    })
+}
+
+/// The one check of canonical campaign order, shared by every reader of
+/// both shard formats: the `holes.campaign/v1` parser, the JSON Lines fold
+/// ([`crate::stream`]), and the `--resume` scan. Fed a shard's entries one
+/// at a time, it requires
+///
+/// - records in strictly ascending order of subject, then level in
+///   schedule order, then the sorted, deduplicated violation list of
+///   `check_all` — the order the drivers emit;
+/// - faults in strictly ascending subject order;
+/// - no subject with both records and a fault.
+///
+/// Strict ascent rejects duplicated, reordered, or injected entries that
+/// would otherwise pass the per-entry checks and silently inflate merged
+/// tables. Only the previous record and the last faulted subject are kept,
+/// so a million-record stream is checked in O(1) memory.
+pub(crate) struct OrderCheck {
+    levels: &'static [OptLevel],
+    previous: Option<ViolationRecord>,
+    /// Records admitted so far.
+    pub(crate) records: usize,
+    /// The subject of the last fault admitted.
+    faulted: Option<usize>,
+}
+
+impl OrderCheck {
+    /// A check for a shard of `personality`'s campaign, before its first
+    /// entry.
+    pub(crate) fn new(personality: Personality) -> OrderCheck {
+        OrderCheck {
+            levels: personality.levels(),
+            previous: None,
+            records: 0,
+            faulted: None,
+        }
+    }
+
+    /// Admit the shard's next entry, or say why it breaks canonical order.
+    /// Record membership (and so level membership) is checked per entry
+    /// before this runs.
+    pub(crate) fn admit(&mut self, entry: Entry<'_>) -> Result<(), ShardError> {
+        match entry {
+            Entry::Record(record) => {
+                if let Some(previous) = &self.previous {
+                    let level_index = |level: OptLevel| {
+                        self.levels
+                            .iter()
+                            .position(|&l| l == level)
+                            .expect("level membership checked per record")
+                    };
+                    if (
+                        previous.subject,
+                        level_index(previous.level),
+                        &previous.violation,
+                    ) >= (record.subject, level_index(record.level), &record.violation)
+                    {
+                        let site = |r: &ViolationRecord| {
+                            let v = &r.violation;
+                            format!(
+                                "subject {} {} `{}` line {}",
+                                r.subject, r.level, v.variable, v.line
+                            )
+                        };
+                        return Err(ShardError::Malformed(format!(
+                            "records {} and {} are not in canonical campaign order \
+                             ({} followed by {})",
+                            self.records - 1,
+                            self.records,
+                            site(previous),
+                            site(record),
+                        )));
+                    }
+                }
+                if let Some(faulted) = self.faulted.filter(|&f| record.subject <= f) {
+                    return Err(ShardError::Malformed(format!(
+                        "record for subject {} violates canonical campaign order \
+                         (subject {faulted} already faulted)",
+                        record.subject
+                    )));
+                }
+                self.previous = Some(record.clone());
+                self.records += 1;
+            }
+            Entry::Fault(fault) => {
+                let floor = self.previous.as_ref().map(|r| r.subject).max(self.faulted);
+                if let Some(floor) = floor.filter(|&floor| fault.subject <= floor) {
+                    return Err(ShardError::Malformed(format!(
+                        "fault for subject {} violates canonical campaign order \
+                         (a line for subject {floor} precedes it)",
+                        fault.subject
+                    )));
+                }
+                self.faulted = Some(fault.subject);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The header fields both shard formats share, in canonical order: format
@@ -726,16 +915,21 @@ mod tests {
     #[test]
     fn from_json_rejects_duplicated_and_reordered_records() {
         let range = SeedRange::new(2300, 2310);
-        let run = run_shard(&spec(range)).unwrap();
+        let policy = FaultPolicy {
+            inject_seeds: [2308u64].into_iter().collect(),
+            ..FaultPolicy::default()
+        };
+        let (run, _) = run_shard_with_policy(&spec(range), &policy).unwrap();
         assert!(
             run.result.records.len() >= 2,
             "campaign found too few records to exercise ordering"
         );
-        let mutate = |f: &dyn Fn(&mut Vec<Json>)| {
+        assert_eq!(run.result.faults.len(), 1);
+        let mutate = |field: &str, f: &dyn Fn(&mut Vec<Json>)| {
             let mut json = run.to_json();
             if let Json::Obj(pairs) = &mut json {
                 for (key, value) in pairs.iter_mut() {
-                    if key == "records" {
+                    if key == field {
                         if let Json::Arr(items) = value {
                             f(items);
                         }
@@ -744,9 +938,12 @@ mod tests {
             }
             CampaignShard::from_json(&json)
         };
-        assert!(mutate(&|_| {}).is_ok(), "untouched file must still parse");
         assert!(
-            mutate(&|items| {
+            mutate("records", &|_| {}).is_ok(),
+            "untouched file must still parse"
+        );
+        assert!(
+            mutate("records", &|items| {
                 let first = items[0].clone();
                 items.insert(0, first);
             })
@@ -754,8 +951,30 @@ mod tests {
             "a duplicated record must be rejected"
         );
         assert!(
-            mutate(&|items| items.reverse()).is_err(),
+            mutate("records", &|items| items.reverse()).is_err(),
             "reordered records must be rejected"
+        );
+        assert!(
+            mutate("faults", &|items| {
+                let first = items[0].clone();
+                items.push(first);
+            })
+            .is_err(),
+            "a duplicated fault must be rejected"
+        );
+        // A fault for the first subject with records, placed ahead of the
+        // injected fault so the faults alone stay in ascending order.
+        let record = &run.result.records[0];
+        assert!(record.subject < run.result.faults[0].subject);
+        let overlapping = fault_to_json(&SubjectFault {
+            seed: record.seed,
+            subject: record.subject,
+            stage: FaultStage::Generate,
+            cause: "injected".into(),
+        });
+        assert!(
+            mutate("faults", &|items| items.insert(0, overlapping.clone())).is_err(),
+            "a fault for a subject with records must be rejected"
         );
     }
 

@@ -17,28 +17,31 @@
 //! [`run_shard_streaming`] evaluates seeds in bounded parallel chunks and
 //! emits each chunk's records as soon as they are ready, so peak memory is
 //! proportional to the chunk size — never to the seed range. On the
-//! consuming side, [`fold_jsonl_reader`] is the symmetric **streaming
-//! reader**: it revalidates everything the classic parser does (per-record
-//! membership, canonical order — checked pairwise against only the
-//! previous record — and the footer counts), reports errors with the
-//! **record index and line number**, and hands each record to a fold
-//! callback instead of materializing a vector, so `holes report` aggregates
-//! arbitrarily large shards in bounded memory. [`read_jsonl_shard`] wraps
-//! the fold into an ordinary [`CampaignShard`] for consumers that do need
-//! the records: merging JSONL shards through
-//! [`crate::shard::merge_shards`] is byte-identical to merging classic
-//! shards, which the CLI and test suite hold it to.
+//! consuming side, [`crate::shard::fold_shard`] recognizes the header and
+//! reads the stream symmetrically, **line by line**: it revalidates
+//! everything the classic parser does (per-record membership, the
+//! canonical order of records and faults — checked against only the
+//! previous entry by the one order check both formats share — and the
+//! footer counts), reports errors with the **record index and line
+//! number**, and hands each record to a fold callback instead of
+//! materializing a vector, so `holes report` aggregates arbitrarily large
+//! shards in bounded memory. [`crate::shard::read_shard`] wraps the fold
+//! into an ordinary [`CampaignShard`] for consumers that do need the
+//! records: merging JSONL shards through [`crate::shard::merge_shards`] is
+//! byte-identical to merging classic shards, which the CLI and test suite
+//! hold it to.
 
 use std::io::Write;
 
 use holes_compiler::OptLevel;
 use holes_core::json::Json;
 
-use crate::campaign::{evaluate_seeds, CampaignResult, ViolationRecord};
+use crate::campaign::{evaluate_seeds, ViolationRecord};
 use crate::fault::{FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{
-    check_record_order, fault_from_json, fault_to_json, parse_levels, parse_spec_header,
-    record_from_json, record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, ShardError,
+    fault_from_json, fault_to_json, interleave, parse_levels, parse_spec_header, record_from_json,
+    record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, Entry, OrderCheck, ShardError,
+    ShardSummary,
 };
 use crate::{par, CacheStats};
 
@@ -296,21 +299,11 @@ pub fn write_merged_stream<W: Write>(
     spec.shards = 1;
     spec.shard = 0;
     let mut writer = CampaignJsonlWriter::new(out, &spec)?;
-    let mut faults = merged.faults.iter();
-    let mut pending_fault = faults.next();
-    for record in &merged.records {
-        while let Some(subject_fault) = pending_fault {
-            if subject_fault.subject >= record.subject {
-                break;
-            }
-            writer.write_fault(subject_fault)?;
-            pending_fault = faults.next();
+    for entry in interleave(&merged.records, &merged.faults) {
+        match entry {
+            Entry::Record(record) => writer.write_record(record)?,
+            Entry::Fault(subject_fault) => writer.write_fault(subject_fault)?,
         }
-        writer.write_record(record)?;
-    }
-    while let Some(subject_fault) = pending_fault {
-        writer.write_fault(subject_fault)?;
-        pending_fault = faults.next();
     }
     let (records, faulted) = (writer.records, writer.faults);
     writer.finish()?;
@@ -321,63 +314,14 @@ pub fn write_merged_stream<W: Write>(
     })
 }
 
-/// Whether `text` looks like a JSON Lines shard file (first line is a
-/// `holes.campaign-jsonl/v1` header) — how `holes report` auto-detects the
-/// format of each input file.
-pub fn is_jsonl_shard(text: &str) -> bool {
-    let first = text.lines().next().unwrap_or("");
-    Json::parse(first)
-        .ok()
-        .and_then(|header| {
-            header
-                .get("format")
-                .and_then(Json::as_str)
-                .map(|format| format == CAMPAIGN_JSONL_FORMAT)
-        })
-        .unwrap_or(false)
-}
-
 fn malformed(line: usize, message: impl std::fmt::Display) -> ShardError {
     ShardError::Malformed(format!("line {}: {message}", line + 1))
 }
 
-/// What [`fold_jsonl_shard`] validated about a stream, once the footer has
-/// confirmed it was complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonlSummary {
-    /// The campaign spec from the header.
-    pub spec: CampaignSpec,
-    /// The level schedule from the header (already checked against the
-    /// personality).
-    pub levels: Vec<OptLevel>,
-    /// Programs covered by the shard, per the footer.
-    pub programs: usize,
-    /// Records handed to the fold callback.
-    pub records: usize,
-    /// Contained subject faults carried by the stream, in subject order.
-    /// Empty for streams produced without a fault policy.
-    pub faults: Vec<SubjectFault>,
-}
-
-/// Parse and validate a JSON Lines shard **header line** (the format's
-/// first line): the spec and level schedule, without touching any record.
-/// Streaming consumers use this to size their accumulators before folding.
-///
-/// # Errors
-///
-/// Returns a [`ShardError`] when the line is not a valid
-/// `holes.campaign-jsonl/v1` header.
-pub fn parse_jsonl_header(line: &str) -> Result<(CampaignSpec, Vec<OptLevel>), ShardError> {
-    parse_jsonl_header_at(line, 0)
-}
-
-/// [`parse_jsonl_header`] with the header's real 0-based line number for
-/// error context — the shared implementation [`fold_jsonl_reader`] uses,
-/// since blank lines may precede the header.
-fn parse_jsonl_header_at(
-    line: &str,
-    line_no: usize,
-) -> Result<(CampaignSpec, Vec<OptLevel>), ShardError> {
+/// Parse and validate a JSON Lines shard **header line**: the spec and
+/// level schedule, without touching any record. `line_no` is the header's
+/// 0-based line number (blank lines may precede it), for error context.
+fn parse_header(line: &str, line_no: usize) -> Result<(CampaignSpec, Vec<OptLevel>), ShardError> {
     let header = Json::parse(line).map_err(|e| malformed(line_no, format!("bad header: {e}")))?;
     let format = header
         .get("format")
@@ -394,29 +338,18 @@ fn parse_jsonl_header_at(
     Ok((spec, levels))
 }
 
-/// Stream a JSON Lines shard through a record callback, **line by line from
-/// a reader**: each record is parsed, validated, handed to `each`, and
-/// dropped, so a consumer folding into an aggregate (the `holes report`
-/// accumulator) reads a million-record shard in bounded memory — the
-/// reader state is one line buffer, the spec, the previous record (for the
-/// canonical-order check), and the running count.
+/// The JSON Lines half of [`crate::shard::fold_shard`]: stream a shard
+/// through the record callback **line by line from a reader**. Each record
+/// is parsed, validated, handed to `each`, and dropped, so a consumer
+/// folding into an aggregate (the `holes report` accumulator) reads a
+/// million-record shard in bounded memory — the reader state is one line
+/// buffer, the spec, the [`OrderCheck`], and the faults.
 ///
-/// Every validation of the materializing parser applies — header
-/// consistency, per-record membership and subject-index checks, canonical
-/// record order, and the footer's truncation-detecting counts — and errors
-/// name the offending line and record index. Records handed to `each`
-/// before an error is discovered must be discarded by the caller (an
-/// aggregate built from a stream that later fails validation is
-/// meaningless).
-///
-/// # Errors
-///
-/// Returns the first malformed line as a [`StreamError::Shard`], or the
-/// reader's failure as [`StreamError::Io`].
-pub fn fold_jsonl_reader<R: std::io::BufRead>(
+/// Errors name the offending line (and, for records, the record index).
+pub(crate) fn fold_jsonl<R: std::io::BufRead>(
     reader: R,
-    mut each: impl FnMut(ViolationRecord),
-) -> Result<JsonlSummary, StreamError> {
+    mut each: impl FnMut(&CampaignSpec, ViolationRecord),
+) -> Result<ShardSummary, StreamError> {
     let mut lines = reader
         .lines()
         .enumerate()
@@ -433,14 +366,14 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
         }
         Some((line_no, text)) => (line_no, text?),
     };
-    let (spec, levels) = parse_jsonl_header_at(&header_text, line_no)?;
+    let (spec, levels) = parse_header(&header_text, line_no)?;
 
-    let mut count = 0usize;
-    let mut previous: Option<ViolationRecord> = None;
+    let mut order = OrderCheck::new(spec.personality);
     let mut faults: Vec<SubjectFault> = Vec::new();
     let mut footer: Option<(usize, Json)> = None;
     while let Some((line_no, line)) = lines.next() {
         let line = line?;
+        let at = |error: ShardError| error.contextualize(&format!("line {}", line_no + 1));
         if let Some((footer_line, _)) = footer {
             return Err(malformed(
                 line_no,
@@ -458,8 +391,9 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
                 return Err(malformed(
                     line_no,
                     format!(
-                        "truncated stream ({count} intact records): \
-                         the final line is cut mid-record; rerun with --resume to complete it"
+                        "truncated stream ({} intact records): \
+                         the final line is cut mid-record; rerun with --resume to complete it",
+                        order.records
                     ),
                 )
                 .into())
@@ -471,51 +405,17 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
             continue;
         }
         if value.get("fault").is_some() {
-            let subject_fault = fault_from_json(&value, &spec)
-                .map_err(|e| e.contextualize(&format!("line {}", line_no + 1)))?;
-            let floor = previous
-                .as_ref()
-                .map(|r| r.subject)
-                .max(faults.last().map(|f| f.subject));
-            if floor.is_some_and(|floor| subject_fault.subject <= floor) {
-                return Err(malformed(
-                    line_no,
-                    format!(
-                        "fault for subject {} violates canonical campaign order \
-                         (a line for subject {} precedes it)",
-                        subject_fault.subject,
-                        floor.expect("floor is Some")
-                    ),
-                )
-                .into());
-            }
+            let subject_fault = fault_from_json(&value, &spec).map_err(at)?;
+            order.admit(Entry::Fault(&subject_fault)).map_err(at)?;
             faults.push(subject_fault);
             continue;
         }
-        let record = record_from_json(&value, &spec).map_err(|e| {
-            e.for_record(count)
-                .contextualize(&format!("line {}", line_no + 1))
-        })?;
-        if let Some(prev) = &previous {
-            check_record_order(count - 1, prev, &record, &spec)?;
-        }
-        if let Some(last_fault) = faults.last() {
-            if record.subject <= last_fault.subject {
-                return Err(malformed(
-                    line_no,
-                    format!(
-                        "record for subject {} violates canonical campaign order \
-                         (subject {} already faulted)",
-                        record.subject, last_fault.subject
-                    ),
-                )
-                .into());
-            }
-        }
-        previous = Some(record.clone());
-        each(record);
-        count += 1;
+        let record =
+            record_from_json(&value, &spec).map_err(|e| at(e.for_record(order.records)))?;
+        order.admit(Entry::Record(&record)).map_err(at)?;
+        each(&spec, record);
     }
+    let count = order.records;
     let (footer_line, footer) = footer.ok_or_else(|| {
         ShardError::Malformed(format!(
             "truncated stream ({count} intact records, missing footer); \
@@ -561,58 +461,12 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
         )
         .into());
     }
-    Ok(JsonlSummary {
+    Ok(ShardSummary {
         spec,
         levels,
         programs,
         records: count,
         faults,
-    })
-}
-
-/// [`fold_jsonl_reader`] over an in-memory stream.
-///
-/// # Errors
-///
-/// Returns a [`ShardError`] describing the first malformed line.
-pub fn fold_jsonl_shard(
-    text: &str,
-    each: impl FnMut(ViolationRecord),
-) -> Result<JsonlSummary, ShardError> {
-    match fold_jsonl_reader(text.as_bytes(), each) {
-        Ok(summary) => Ok(summary),
-        Err(StreamError::Shard(error)) => Err(error),
-        // Reading from an in-memory slice cannot fail; keep the error path
-        // total anyway.
-        Err(StreamError::Io(error)) => Err(ShardError::Malformed(format!(
-            "I/O failure on an in-memory stream: {error}"
-        ))),
-    }
-}
-
-/// Parse a JSON Lines shard file back into a [`CampaignShard`], applying
-/// every validation the classic parser does (header consistency, per-record
-/// membership and subject-index checks, canonical record order, and the
-/// footer's truncation-detecting counts). Errors name the offending line
-/// and record index.
-///
-/// This materializes every record; callers that only aggregate should use
-/// [`fold_jsonl_shard`] and keep memory bounded.
-///
-/// # Errors
-///
-/// Returns a [`ShardError`] describing the first malformed line.
-pub fn read_jsonl_shard(text: &str) -> Result<CampaignShard, ShardError> {
-    let mut records: Vec<ViolationRecord> = Vec::new();
-    let summary = fold_jsonl_shard(text, |record| records.push(record))?;
-    Ok(CampaignShard {
-        spec: summary.spec,
-        result: CampaignResult {
-            records,
-            programs: summary.programs,
-            levels: summary.levels,
-            faults: summary.faults,
-        },
     })
 }
 
@@ -701,7 +555,7 @@ pub fn resume_shard_streaming(
                 // The kill landed inside the header; rewrite from scratch.
             } else if std::str::from_utf8(line)
                 .ok()
-                .is_some_and(|text| parse_jsonl_header(text).is_ok())
+                .is_some_and(|text| parse_header(text, 0).is_ok())
             {
                 return Err(unresumable(
                     "the file's header describes a different campaign; refusing to overwrite it",
@@ -718,6 +572,8 @@ pub fn resume_shard_streaming(
     // fault, or footer of this campaign; a trailing segment without a
     // newline is the cut the kill left and is dropped.
     let mut scanned: Vec<ScannedLine> = Vec::new();
+    let mut order = OrderCheck::new(spec.personality);
+    let out_of_order = |error: ShardError| error.contextualize("cannot resume");
     let mut footer: Option<Json> = None;
     if !write_header {
         for segment in segments {
@@ -739,15 +595,16 @@ pub fn resume_shard_streaming(
                 continue;
             }
             let (subject, is_fault) = if value.get("fault").is_some() {
-                (fault_from_json(&value, spec)?.subject, true)
+                let subject_fault = fault_from_json(&value, spec)?;
+                order
+                    .admit(Entry::Fault(&subject_fault))
+                    .map_err(out_of_order)?;
+                (subject_fault.subject, true)
             } else {
-                (record_from_json(&value, spec)?.subject, false)
+                let record = record_from_json(&value, spec)?;
+                order.admit(Entry::Record(&record)).map_err(out_of_order)?;
+                (record.subject, false)
             };
-            if scanned.last().is_some_and(|last| subject < last.subject) {
-                return Err(unresumable(
-                    "intact lines are not in ascending subject order",
-                ));
-            }
             scanned.push(ScannedLine {
                 start,
                 subject,
@@ -836,7 +693,7 @@ pub fn resume_shard_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{merge_shards, run_shard};
+    use crate::shard::{fold_shard, merge_shards, read_shard, run_shard};
     use holes_compiler::Personality;
     use holes_progen::SeedRange;
 
@@ -855,10 +712,10 @@ mod tests {
         let range = SeedRange::new(2600, 2612);
         let classic = run_shard(&spec(range)).unwrap();
         let text = streamed(&spec(range));
-        assert!(is_jsonl_shard(&text));
-        assert!(!is_jsonl_shard(&classic.to_json().to_pretty()));
-        let parsed = read_jsonl_shard(&text).unwrap();
+        let parsed = read_shard(&text).unwrap();
         assert_eq!(parsed, classic);
+        // Format detection: the classic text reads back to the same shard.
+        assert_eq!(read_shard(&classic.to_json().to_pretty()).unwrap(), parsed);
         // And the rendered classic JSON is byte-identical either way.
         assert_eq!(parsed.to_json().to_pretty(), classic.to_json().to_pretty());
     }
@@ -872,7 +729,7 @@ mod tests {
         for index in 0..shards {
             let shard_spec = spec(range).with_shard(shards, index);
             if index % 2 == 0 {
-                mixed.push(read_jsonl_shard(&streamed(&shard_spec)).unwrap());
+                mixed.push(read_shard(&streamed(&shard_spec)).unwrap());
             } else {
                 mixed.push(run_shard(&shard_spec).unwrap());
             }
@@ -892,15 +749,15 @@ mod tests {
 
         // Truncation: dropping the footer (or cutting mid-record) fails.
         let no_footer = lines[..lines.len() - 1].join("\n");
-        let err = read_jsonl_shard(&no_footer).unwrap_err();
+        let err = read_shard(&no_footer).unwrap_err();
         assert!(err.to_string().contains("footer"), "{err}");
         let cut_mid_record = &text[..text.len() - text.len() / 3];
-        assert!(read_jsonl_shard(cut_mid_record).is_err());
+        assert!(read_shard(cut_mid_record).is_err());
 
         // A tampered record reports its index and line.
         let mut tampered: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
         tampered[1] = tampered[1].replace("\"seed\":", "\"seed\":9999, \"x\":");
-        let err = read_jsonl_shard(&tampered.join("\n")).unwrap_err();
+        let err = read_shard(&tampered.join("\n")).unwrap_err();
         let message = err.to_string();
         assert!(
             message.contains("record 0") && message.contains("line 2"),
@@ -910,12 +767,11 @@ mod tests {
         // A record count mismatch in the footer is caught.
         let mut short: Vec<&str> = lines.clone();
         short.remove(1);
-        assert!(read_jsonl_shard(&short.join("\n")).is_err());
+        assert!(read_shard(&short.join("\n")).is_err());
 
         // Wrong format tag.
         let wrong = text.replace(CAMPAIGN_JSONL_FORMAT, "holes.campaign-jsonl/v9");
-        assert!(read_jsonl_shard(&wrong).is_err());
-        assert!(!is_jsonl_shard(&wrong));
+        assert!(read_shard(&wrong).is_err());
     }
 
     #[test]
@@ -923,13 +779,13 @@ mod tests {
         use crate::campaign::CampaignTallies;
         let range = SeedRange::new(2900, 2912);
         let text = streamed(&spec(range));
-        let shard = read_jsonl_shard(&text).unwrap();
+        let shard = read_shard(&text).unwrap();
         assert!(
             !shard.result.records.is_empty(),
             "range exposed no records to fold"
         );
         let mut tallies = CampaignTallies::new(shard.result.levels.clone(), shard.result.programs);
-        let summary = fold_jsonl_shard(&text, |record| tallies.add(&record)).unwrap();
+        let summary = fold_shard(text.as_bytes(), |_, record| tallies.add(&record)).unwrap();
         assert_eq!(summary.spec, shard.spec);
         assert_eq!(summary.records, shard.result.records.len());
         assert_eq!(summary.programs, shard.result.programs);
@@ -948,13 +804,16 @@ mod tests {
         if lines.len() >= 4 {
             let mut swapped: Vec<&str> = lines.clone();
             swapped.swap(1, 2);
-            let err = fold_jsonl_shard(&swapped.join("\n"), |_| {}).unwrap_err();
+            let err = match fold_shard(swapped.join("\n").as_bytes(), |_, _| {}) {
+                Err(StreamError::Shard(err)) => err,
+                other => panic!("expected a shard error, got {other:?}"),
+            };
             assert!(
                 err.to_string().contains("canonical campaign order"),
                 "{err}"
             );
             assert_eq!(
-                read_jsonl_shard(&swapped.join("\n")).unwrap_err(),
+                read_shard(&swapped.join("\n")).unwrap_err(),
                 err,
                 "the two readers disagree on the rejection"
             );
@@ -977,7 +836,7 @@ mod tests {
             text.lines().last().unwrap().contains("\"faulted\":2"),
             "{text}"
         );
-        let shard = read_jsonl_shard(&text).expect("faulted stream reads back");
+        let shard = read_shard(&text).expect("faulted stream reads back");
         assert_eq!(shard.result.faults.len(), 2);
         assert_eq!(
             shard
@@ -990,7 +849,7 @@ mod tests {
         );
         // Faulted subjects are excluded from records; everything else is
         // untouched relative to the clean run.
-        let clean = read_jsonl_shard(&streamed(&spec(range))).unwrap();
+        let clean = read_shard(&streamed(&spec(range))).unwrap();
         let survivors: Vec<_> = clean
             .result
             .records
@@ -1011,17 +870,17 @@ mod tests {
         // Cut mid-record: the diagnostic counts the intact records and
         // points at --resume.
         let cut = &text[..text.len() - text.len() / 3];
-        let err = read_jsonl_shard(cut).unwrap_err().to_string();
+        let err = read_shard(cut).unwrap_err().to_string();
         assert!(err.contains("truncated stream ("), "{err}");
         assert!(err.contains("--resume"), "{err}");
         // Footer missing but last line intact.
         let lines: Vec<&str> = text.lines().collect();
         let no_footer = lines[..lines.len() - 1].join("\n");
-        let err = read_jsonl_shard(&no_footer).unwrap_err().to_string();
+        let err = read_shard(&no_footer).unwrap_err().to_string();
         assert!(err.contains("missing footer"), "{err}");
         assert!(err.contains("--resume"), "{err}");
         // Empty file.
-        let err = read_jsonl_shard("").unwrap_err().to_string();
+        let err = read_shard("").unwrap_err().to_string();
         assert!(err.contains("truncated stream (0 intact records)"), "{err}");
     }
 
@@ -1119,7 +978,7 @@ mod tests {
         let reference = streamed(&spec);
         for shards in [1u64, 2, 3, 5, 16, 20] {
             let runs: Vec<CampaignShard> = (0..shards)
-                .map(|i| read_jsonl_shard(&streamed(&spec.clone().with_shard(shards, i))).unwrap())
+                .map(|i| read_shard(&streamed(&spec.clone().with_shard(shards, i))).unwrap())
                 .collect();
             let mut scrambled = runs;
             scrambled.reverse();
@@ -1145,7 +1004,7 @@ mod tests {
                 let mut out = Vec::new();
                 let shard_spec = spec.clone().with_shard(3, i);
                 run_shard_streaming(&shard_spec, &mut out, &policy).expect("run");
-                read_jsonl_shard(&String::from_utf8(out).unwrap()).unwrap()
+                read_shard(&String::from_utf8(out).unwrap()).unwrap()
             })
             .collect();
         let mut out = Vec::new();
@@ -1154,7 +1013,7 @@ mod tests {
         assert_eq!(out, faulted_ref, "faulted merge is not byte-identical");
         // An incomplete or duplicated shard set is rejected, never
         // double-counted.
-        let s0 = read_jsonl_shard(&streamed(&spec.clone().with_shard(2, 0))).unwrap();
+        let s0 = read_shard(&streamed(&spec.clone().with_shard(2, 0))).unwrap();
         assert!(write_merged_stream(vec![s0.clone()], Vec::new()).is_err());
         assert!(write_merged_stream(vec![s0.clone(), s0], Vec::new()).is_err());
     }
@@ -1164,7 +1023,7 @@ mod tests {
         let empty = spec(SeedRange::new(10, 10));
         let text = streamed(&empty);
         assert_eq!(text.lines().count(), 2, "{text}");
-        let parsed = read_jsonl_shard(&text).unwrap();
+        let parsed = read_shard(&text).unwrap();
         assert_eq!(parsed.result.programs, 0);
         assert!(parsed.result.records.is_empty());
     }

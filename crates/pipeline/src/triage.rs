@@ -30,7 +30,10 @@ use holes_core::{Conjecture, Violation};
 use crate::campaign::{evaluate_seeds, unique_key, CampaignResult, UniqueKey, ViolationRecord};
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::par;
-use crate::shard::{parse_levels, parse_spec_header, spec_header_pairs, CampaignSpec, ShardError};
+use crate::shard::{
+    parse_levels, parse_spec_header, spec_header_pairs, validate_shard_specs, CampaignSpec,
+    ShardError,
+};
 use crate::Subject;
 
 /// The outcome of triaging one violation.
@@ -464,38 +467,20 @@ pub fn run_triage_shard(
 /// [`TriageTable`] for the full seed range: the pointwise sum of the
 /// shards' attribution counts. All shards must belong to the same campaign,
 /// use the same limit, and cover `0..shards` exactly once (the same
-/// contract as [`crate::shard::merge_shards`]).
+/// contract as [`crate::shard::merge_shards`], checked by the same
+/// [`validate_shard_specs`]).
 ///
 /// # Errors
 ///
 /// Returns a [`ShardError`] when the set is incomplete or inconsistent.
 pub fn merge_triage_shards(shards: Vec<TriageShard>) -> Result<TriageTable, ShardError> {
-    let first = shards
-        .first()
-        .cloned()
-        .ok_or_else(|| ShardError::Incompatible("no triage shards to merge".into()))?;
-    for shard in &shards {
-        shard.spec.validate()?;
-        if !shard.spec.same_campaign(&first.spec) {
-            return Err(ShardError::Incompatible(format!(
-                "triage shard {} belongs to a different campaign than shard {}",
-                shard.spec.shard, first.spec.shard
-            )));
-        }
-        if shard.limit != first.limit {
-            return Err(ShardError::Incompatible(format!(
-                "triage shard {} used limit {} but shard {} used limit {}",
-                shard.spec.shard, shard.limit, first.spec.shard, first.limit
-            )));
-        }
-    }
-    let mut indices: Vec<u64> = shards.iter().map(|s| s.spec.shard).collect();
-    indices.sort_unstable();
-    let expected: Vec<u64> = (0..first.spec.shards).collect();
-    if indices != expected {
+    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
+    validate_shard_specs(&specs)?;
+    let first = &shards[0];
+    if let Some(other) = shards.iter().find(|shard| shard.limit != first.limit) {
         return Err(ShardError::Incompatible(format!(
-            "triage shard indices {indices:?} do not cover 0..{} exactly once",
-            first.spec.shards
+            "triage shard {} used limit {} but shard {} used limit {}",
+            other.spec.shard, other.limit, first.spec.shard, first.limit
         )));
     }
     let mut table = TriageTable::default();

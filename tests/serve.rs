@@ -24,8 +24,8 @@ use holes_pipeline::serve::lease::GRACE_BEATS;
 use holes_pipeline::serve::{
     run_worker, Coordinator, LeaseConfig, Reply, Request, ServeConfig, ServeState, WorkerConfig,
 };
-use holes_pipeline::shard::{CampaignShard, CampaignSpec};
-use holes_pipeline::stream::{read_jsonl_shard, run_shard_streaming};
+use holes_pipeline::shard::{read_shard, CampaignShard, CampaignSpec};
+use holes_pipeline::stream::run_shard_streaming;
 use holes_progen::SeedRange;
 
 fn spec(start: u64, len: u64) -> CampaignSpec {
@@ -48,7 +48,7 @@ fn reference_stream(spec: &CampaignSpec) -> Vec<u8> {
 fn evaluate(spec: &CampaignSpec) -> CampaignShard {
     let mut out = Vec::new();
     run_shard_streaming(spec, &mut out, &FaultPolicy::default()).expect("shard evaluates");
-    read_jsonl_shard(&String::from_utf8(out).expect("UTF-8 stream")).expect("stream reads back")
+    read_shard(&String::from_utf8(out).expect("UTF-8 stream")).expect("stream reads back")
 }
 
 /// A self-deleting scratch path (journals, work dirs).
