@@ -45,7 +45,8 @@ use crate::config::CompilerConfig;
 use crate::defects::{frame_catalogue, frame_defect_plan, DefectAction, FrameDefectPlan};
 use crate::frame::{FrameAbi, FrameLayout};
 use crate::ir::{
-    DbgLoc, DebugVarId, IrFunction, IrProgram, Op, ScopeId, ScopeKind, SlotId, Temp, Value,
+    dense_entry, DbgLoc, DebugVarId, IrFunction, IrProgram, Op, ScopeId, ScopeKind, SlotId, Temp,
+    Value,
 };
 use crate::regalloc::{allocate, Allocation, Edit};
 use crate::vcode::{PosInfo, Storage, VCode, VDef, VInst, VInstruction, VReg};
@@ -418,40 +419,45 @@ fn raddr_global(global: holes_minic::ast::GlobalId, index: Option<Value>) -> RAd
 /// multi-instruction expansions cannot perturb live ranges.
 fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
     // First-occurrence IR position of every label (branch targets for
-    // back-edge detection).
-    let mut label_ir_pos: HashMap<u32, usize> = HashMap::new();
+    // back-edge detection), indexed by label number: labels share the
+    // temps' dense numbering below `next_temp`.
+    let mut label_ir_pos: Vec<Option<usize>> = vec![None; func.next_temp as usize];
     for (i, inst) in func.insts.iter().enumerate() {
         if let Op::Label(l) = inst.op {
-            label_ir_pos.entry(l.0).or_insert(i);
+            dense_entry(&mut label_ir_pos, l.0).get_or_insert(i);
         }
     }
 
     let mut insts: Vec<VInst<RInst>> = Vec::with_capacity(func.insts.len());
     let mut positions: Vec<PosInfo> = Vec::with_capacity(func.insts.len());
+    let mut position_uses: Vec<VReg> = Vec::with_capacity(func.insts.len());
     for inst in &func.insts {
         let line = inst.line;
         let scope = inst.scope;
-        let mut pos = PosInfo::default();
-        if let Some(d) = inst.op.def() {
-            pos.def = Some(vreg(d));
-        }
-        for u in inst.op.uses() {
+        let uses_start = position_uses.len();
+        inst.op.for_each_use(|u| {
             if let Value::Temp(t) = u {
-                pos.uses.push(vreg(t));
+                position_uses.push(vreg(t));
             }
-        }
-        if let Op::DbgValue {
-            loc: DbgLoc::Value(Value::Temp(t)),
-            ..
-        } = inst.op
-        {
-            pos.dbg_use = Some(vreg(t));
-        }
-        pos.branch_target = match inst.op {
-            Op::Jump(l)
-            | Op::BranchZero { target: l, .. }
-            | Op::BranchNonZero { target: l, .. } => label_ir_pos.get(&l.0).copied(),
-            _ => None,
+        });
+        let pos = PosInfo {
+            def: inst.op.def().map(vreg),
+            uses: uses_start..position_uses.len(),
+            dbg_use: match inst.op {
+                Op::DbgValue {
+                    loc: DbgLoc::Value(Value::Temp(t)),
+                    ..
+                } => Some(vreg(t)),
+                _ => None,
+            },
+            branch_target: match inst.op {
+                Op::Jump(l)
+                | Op::BranchZero { target: l, .. }
+                | Op::BranchNonZero { target: l, .. } => {
+                    label_ir_pos.get(l.0 as usize).copied().flatten()
+                }
+                _ => None,
+            },
         };
 
         let mut push = |inst: RInst, is_stmt: bool| {
@@ -666,10 +672,22 @@ fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
         decl_line: func.decl_line,
         insts,
         positions,
+        position_uses,
         params: func.param_temps.iter().map(|t| vreg(*t)).collect(),
         local_slots: func.slots,
         base_address: MachineProgram::default_base_address(index),
     }
+}
+
+/// The allocation of `func` (as the register and frame backends compute
+/// it) and the reference allocator's, for the differential oracle.
+#[cfg(test)]
+pub(crate) fn allocation_and_reference(func: &IrFunction) -> (Allocation, Allocation) {
+    let vcode = lower_function(func, 0);
+    (
+        allocate(&vcode, ALLOCATABLE as u8),
+        crate::regalloc::reference::allocate(&vcode, ALLOCATABLE as u8),
+    )
 }
 
 /// The emission stage: applies the allocator's spill/reload edits
@@ -754,9 +772,21 @@ impl<'a> Emitter<'a> {
                     // Coalesce bindings landing on the same machine address:
                     // only the last one can ever take effect, and keeping
                     // the earlier one would create an empty location range.
-                    self.bindings
-                        .retain(|(index, v, _)| !(*index == self.code.len() && v == var));
-                    self.bindings.push((self.code.len(), *var, location));
+                    // Bindings are recorded in address order, so those at
+                    // this address are a suffix holding `var` at most once.
+                    let here = self.code.len();
+                    let suffix = self
+                        .bindings
+                        .iter()
+                        .rposition(|(index, _, _)| *index != here)
+                        .map_or(0, |last| last + 1);
+                    if let Some(k) = self.bindings[suffix..]
+                        .iter()
+                        .position(|(_, v, _)| v == var)
+                    {
+                        self.bindings.remove(suffix + k);
+                    }
+                    self.bindings.push((here, *var, location));
                 }
                 RInst::Mov { dst, src } => {
                     let reg = self.dest_reg(*dst);
@@ -1275,10 +1305,19 @@ pub(crate) fn emit_debug_info(
         let subprogram = subprograms[fi];
         let base = artifact.base_address;
         let end = base + artifact.code_len as u64;
+        // Every scope's `[low, high)` address range, from its first and last
+        // emitted instruction.
+        let mut scope_ranges: Vec<Option<(u64, u64)>> = vec![None; func.scopes.len()];
+        for (i, scope) in artifact.inst_scopes.iter().enumerate() {
+            if let Some(range) = scope_ranges.get_mut(scope.0 as usize) {
+                let addr = base + i as u64;
+                range.get_or_insert((addr, addr)).1 = addr + 1;
+            }
+        }
         // Scope DIEs.
         let mut scope_dies: Vec<DieId> = vec![subprogram];
         for (si, scope) in func.scopes.iter().enumerate().skip(1) {
-            let range = scope_range(artifact, ScopeId(si as u32), base);
+            let range = scope_ranges[si];
             let (parent, tag, origin) = match scope {
                 ScopeKind::Function => (info.root(), DieTag::LexicalBlock, None),
                 ScopeKind::Block { parent } => (
@@ -1321,6 +1360,14 @@ pub(crate) fn emit_debug_info(
             }
             scope_dies.push(die);
         }
+        // The binding timeline grouped by variable; the stable sort keeps
+        // each variable's bindings in instruction order.
+        let mut by_var: Vec<(DebugVarId, usize, Location)> = artifact
+            .bindings
+            .iter()
+            .map(|&(index, var, loc)| (var, index, loc))
+            .collect();
+        by_var.sort_by_key(|(var, _, _)| *var);
         // Variable DIEs with their location lists.
         for (vi, var) in func.vars.iter().enumerate() {
             if var.suppress_die {
@@ -1343,11 +1390,11 @@ pub(crate) fn emit_debug_info(
                 Attr::DeclLine,
                 AttrValue::Unsigned(var.decl_line as u64),
             );
-            let events: Vec<(usize, Location)> = artifact
-                .bindings
+            let first = by_var.partition_point(|(v, _, _)| *v < var_id);
+            let events: Vec<(usize, Location)> = by_var[first..]
                 .iter()
-                .filter(|(_, v, _)| *v == var_id)
-                .map(|(i, _, loc)| (*i, *loc))
+                .take_while(|(v, _, _)| *v == var_id)
+                .map(|&(_, index, loc)| (index, loc))
                 .collect();
             if events.is_empty() {
                 // No binding at all: the DIE stays without location (hollow).
@@ -1396,19 +1443,6 @@ pub(crate) fn emit_debug_info(
         }
     }
     info
-}
-
-fn scope_range(artifact: &DebugArtifacts, scope: ScopeId, base: u64) -> Option<(u64, u64)> {
-    let mut lo = None;
-    let mut hi = None;
-    for (i, s) in artifact.inst_scopes.iter().enumerate() {
-        if *s == scope {
-            let addr = base + i as u64;
-            lo = Some(lo.map_or(addr, |l: u64| l.min(addr)));
-            hi = Some(hi.map_or(addr + 1, |h: u64| h.max(addr + 1)));
-        }
-    }
-    Some((lo?, hi?))
 }
 
 #[cfg(test)]

@@ -34,7 +34,9 @@ use holes_minic::ast::Program;
 use crate::codegen::{emit_debug_info, lower_globals, DebugArtifacts};
 use crate::config::CompilerConfig;
 use crate::defects::spill_loss_victims;
-use crate::ir::{DbgLoc, DebugVarId, IrFunction, IrProgram, Op, ScopeId, SlotId, Temp, Value};
+use crate::ir::{
+    dense_entry, DbgLoc, DebugVarId, IrFunction, IrProgram, Op, ScopeId, SlotId, Temp, Value,
+};
 
 /// Registers available to the allocator (everything but the frame pointer).
 const ALLOCATABLE: u8 = FP_REG;
@@ -93,7 +95,8 @@ pub fn codegen_stack(
 
 struct StackEmitter<'f> {
     func: &'f IrFunction,
-    alloc: HashMap<Temp, SAlloc>,
+    /// Every temp's home, indexed by temp number.
+    alloc: Vec<Option<SAlloc>>,
     /// Next free general register (registers are assigned permanently —
     /// the file is small enough that reuse would only complicate the
     /// location story).
@@ -120,7 +123,7 @@ impl<'f> StackEmitter<'f> {
     fn new(func: &'f IrFunction, index: usize, config: &CompilerConfig) -> StackEmitter<'f> {
         StackEmitter {
             func,
-            alloc: HashMap::new(),
+            alloc: vec![None; func.next_temp as usize],
             next_reg: (func.param_temps.len() as u8).min(ALLOCATABLE),
             next_spill: func.slots + func.param_temps.len() as u32,
             victims: spill_loss_victims(config, func),
@@ -171,16 +174,16 @@ impl<'f> StackEmitter<'f> {
             } else {
                 SAlloc::Slot(self.func.slots + i as u32)
             };
-            self.alloc.insert(*param, home);
+            self.set_home(*param, home);
         }
         let insts: Vec<Temp> = {
             let mut seen = Vec::new();
             for inst in &self.func.insts {
-                for use_ in inst.op.uses() {
+                inst.op.for_each_use(|use_| {
                     if let Value::Temp(t) = use_ {
                         seen.push(t);
                     }
-                }
+                });
                 if let Some(d) = inst.op.def() {
                     seen.push(d);
                 }
@@ -200,7 +203,7 @@ impl<'f> StackEmitter<'f> {
     }
 
     fn ensure_home(&mut self, temp: Temp) {
-        if self.alloc.contains_key(&temp) {
+        if self.home(temp).is_some() {
             return;
         }
         let home = if self.next_reg < ALLOCATABLE {
@@ -212,7 +215,15 @@ impl<'f> StackEmitter<'f> {
             self.next_spill += 1;
             SAlloc::Slot(slot)
         };
-        self.alloc.insert(temp, home);
+        self.set_home(temp, home);
+    }
+
+    fn home(&self, temp: Temp) -> Option<SAlloc> {
+        self.alloc.get(temp.0 as usize).copied().flatten()
+    }
+
+    fn set_home(&mut self, temp: Temp, home: SAlloc) {
+        *dense_entry(&mut self.alloc, temp.0) = Some(home);
     }
 
     fn push_inst(&mut self, inst: SInst, line: u32, scope: ScopeId) {
@@ -231,9 +242,9 @@ impl<'f> StackEmitter<'f> {
     fn push_value(&mut self, value: Value, line: u32, scope: ScopeId) {
         let inst = match value {
             Value::Const(c) => SInst::PushImm(c),
-            Value::Temp(t) => match self.alloc.get(&t) {
-                Some(SAlloc::Reg(r)) => SInst::PushReg(*r),
-                Some(SAlloc::Slot(s)) => SInst::PushSlot(*s),
+            Value::Temp(t) => match self.home(t) {
+                Some(SAlloc::Reg(r)) => SInst::PushReg(r),
+                Some(SAlloc::Slot(s)) => SInst::PushSlot(s),
                 None => SInst::PushImm(0),
             },
         };
@@ -242,9 +253,9 @@ impl<'f> StackEmitter<'f> {
 
     /// Pop the operand-stack top into a temp's home.
     fn pop_temp(&mut self, temp: Temp, line: u32, scope: ScopeId) {
-        let inst = match self.alloc.get(&temp) {
-            Some(SAlloc::Reg(r)) => SInst::PopReg(*r),
-            Some(SAlloc::Slot(s)) => SInst::PopSlot(*s),
+        let inst = match self.home(temp) {
+            Some(SAlloc::Reg(r)) => SInst::PopReg(r),
+            Some(SAlloc::Slot(s)) => SInst::PopSlot(s),
             None => SInst::Drop,
         };
         self.push_inst(inst, line, scope);
@@ -253,8 +264,8 @@ impl<'f> StackEmitter<'f> {
     fn lower_dbg_loc(&mut self, var: DebugVarId, loc: DbgLoc) -> Location {
         match loc {
             DbgLoc::Value(Value::Const(c)) => Location::ConstValue(c),
-            DbgLoc::Value(Value::Temp(t)) => match self.alloc.get(&t) {
-                Some(SAlloc::Reg(r)) => Location::Register(*r),
+            DbgLoc::Value(Value::Temp(t)) => match self.home(t) {
+                Some(SAlloc::Reg(r)) => Location::Register(r),
                 Some(SAlloc::Slot(slot)) => {
                     if self.victims.contains(&var) {
                         // The spill-loss defect: the reload tracker forgot
@@ -263,7 +274,7 @@ impl<'f> StackEmitter<'f> {
                         Location::Empty
                     } else {
                         Location::FrameBase {
-                            offset: *slot as i32,
+                            offset: slot as i32,
                         }
                     }
                 }

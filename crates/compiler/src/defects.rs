@@ -861,8 +861,8 @@ pub fn frame_defect_plan(config: &CompilerConfig, func: &IrFunction) -> FrameDef
             DefectAction::ClobberCalleeSaved => &mut plan.callee_clobber,
             _ => continue,
         };
-        for var in (0..func.vars.len() as u32).map(DebugVarId) {
-            if selects(func, defect.selector, var) && !victims.contains(&var) {
+        for var in selected_vars(func, defect.selector) {
+            if !victims.contains(&var) {
                 victims.push(var);
             }
         }
@@ -885,8 +885,8 @@ pub fn spill_loss_victims(config: &CompilerConfig, func: &IrFunction) -> Vec<Deb
         if defect.action != DefectAction::DropSpillLoc || !defect.active_in(config) {
             continue;
         }
-        for var in (0..func.vars.len() as u32).map(DebugVarId) {
-            if selects(func, defect.selector, var) && !victims.contains(&var) {
+        for var in selected_vars(func, defect.selector) {
+            if !victims.contains(&var) {
                 victims.push(var);
             }
         }
@@ -895,42 +895,49 @@ pub fn spill_loss_victims(config: &CompilerConfig, func: &IrFunction) -> Vec<Deb
     victims
 }
 
-/// Defects of `config` that live in `pass` and are active.
-pub fn active_defects(config: &CompilerConfig, pass: &str) -> Vec<Defect> {
+/// Every active defect of `config`, in catalogue order: the configuration's
+/// whole defect schedule, which the pipeline resolves once per compile.
+pub fn active_catalogue(config: &CompilerConfig) -> Vec<Defect> {
     catalogue(config.personality)
         .into_iter()
-        .filter(|d| d.pass == pass && d.active_in(config))
+        .filter(|d| d.active_in(config))
+        .collect()
+}
+
+/// Defects of `config` that live in `pass` and are active.
+pub fn active_defects(config: &CompilerConfig, pass: &str) -> Vec<Defect> {
+    active_catalogue(config)
+        .into_iter()
+        .filter(|d| d.pass == pass)
         .collect()
 }
 
 /// Apply a defect to a function's debug bindings (the pipeline runner calls
 /// this right after the corresponding pass has executed).
 pub fn apply_defect(func: &mut IrFunction, defect: &Defect) {
-    let selected: Vec<DebugVarId> = (0..func.vars.len() as u32)
-        .map(DebugVarId)
-        .filter(|v| selects(func, defect.selector, *v))
-        .collect();
-    if selected.is_empty() {
+    let selected = select(func, defect.selector);
+    if !selected.contains(&true) {
         return;
     }
+    let is_selected = |var: DebugVarId| selected.get(var.0 as usize).copied().unwrap_or(false);
     match defect.action {
         DefectAction::DropDie => {
-            for &v in &selected {
-                func.vars[v.0 as usize].suppress_die = true;
+            for (var, hit) in func.vars.iter_mut().zip(&selected) {
+                var.suppress_die |= *hit;
             }
-            drop_bindings(func, &selected);
+            drop_bindings(func, is_selected);
         }
-        DefectAction::DropDbg => drop_bindings(func, &selected),
+        DefectAction::DropDbg => drop_bindings(func, is_selected),
         DefectAction::UndefDbg => {
             for inst in &mut func.insts {
                 if let Op::DbgValue { var, loc } = &mut inst.op {
-                    if selected.contains(var) {
+                    if is_selected(*var) {
                         *loc = DbgLoc::Undef;
                     }
                 }
             }
         }
-        DefectAction::DelayDbg(distance) => delay_bindings(func, &selected, distance),
+        DefectAction::DelayDbg(distance) => delay_bindings(func, is_selected, distance),
         DefectAction::TruncateBeforeSink => truncate_before_sink(func, &selected),
         DefectAction::MisScope => mis_scope(func, &selected),
         // Applied by the stack backend's code generator (see
@@ -942,88 +949,130 @@ pub fn apply_defect(func: &mut IrFunction, defect: &Defect) {
     }
 }
 
-fn selects(func: &IrFunction, selector: VarSelector, var: DebugVarId) -> bool {
-    if var.0 % selector.modulus != selector.offset % selector.modulus {
-        return false;
-    }
-    let info = &func.vars[var.0 as usize];
-    match selector.class {
-        VarClass::Any => true,
-        VarClass::ConstValued => func.insts.iter().any(|i| {
-            matches!(
-                i.op,
-                Op::DbgValue { var: v, loc: DbgLoc::Value(Value::Const(_)) } if v == var
-            )
-        }),
-        VarClass::InductionVar => func.loops.iter().any(|l| l.iv_var == Some(var)),
-        VarClass::SlotVar => func
-            .insts
-            .iter()
-            .any(|i| matches!(i.op, Op::DbgValue { var: v, loc: DbgLoc::Slot(_) } if v == var)),
-        VarClass::BlockScoped => {
-            matches!(
-                func.scopes.get(info.scope.0 as usize),
-                Some(ScopeKind::Block { .. })
-            )
-        }
-    }
-}
-
-fn drop_bindings(func: &mut IrFunction, selected: &[DebugVarId]) {
-    for inst in &mut func.insts {
-        if let Op::DbgValue { var, .. } = inst.op {
-            if selected.contains(&var) {
-                inst.op = Op::Nop;
+/// Which variables of `func` the selector picks, as a mask indexed by
+/// variable id, computed in one pass over the function.
+fn select(func: &IrFunction, selector: VarSelector) -> Vec<bool> {
+    let stride = |var: usize| var as u32 % selector.modulus == selector.offset % selector.modulus;
+    let mut class: Vec<bool> = match selector.class {
+        VarClass::Any => vec![true; func.vars.len()],
+        VarClass::ConstValued | VarClass::SlotVar => {
+            let mut bound = vec![false; func.vars.len()];
+            for inst in &func.insts {
+                let var = match inst.op {
+                    Op::DbgValue {
+                        var,
+                        loc: DbgLoc::Value(Value::Const(_)),
+                    } if selector.class == VarClass::ConstValued => var,
+                    Op::DbgValue {
+                        var,
+                        loc: DbgLoc::Slot(_),
+                    } if selector.class == VarClass::SlotVar => var,
+                    _ => continue,
+                };
+                if let Some(hit) = bound.get_mut(var.0 as usize) {
+                    *hit = true;
+                }
             }
+            bound
         }
+        VarClass::InductionVar => {
+            let mut ivs = vec![false; func.vars.len()];
+            for var in func.loops.iter().filter_map(|l| l.iv_var) {
+                if let Some(hit) = ivs.get_mut(var.0 as usize) {
+                    *hit = true;
+                }
+            }
+            ivs
+        }
+        VarClass::BlockScoped => func
+            .vars
+            .iter()
+            .map(|info| {
+                matches!(
+                    func.scopes.get(info.scope.0 as usize),
+                    Some(ScopeKind::Block { .. })
+                )
+            })
+            .collect(),
+    };
+    for (var, hit) in class.iter_mut().enumerate() {
+        *hit &= stride(var);
     }
-    func.remove_nops();
+    class
 }
 
-fn delay_bindings(func: &mut IrFunction, selected: &[DebugVarId], distance: usize) {
+/// The ids of the variables the selector picks, ascending.
+fn selected_vars(func: &IrFunction, selector: VarSelector) -> impl Iterator<Item = DebugVarId> {
+    select(func, selector)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, hit)| *hit)
+        .map(|(var, _)| DebugVarId(var as u32))
+}
+
+/// Delete the selected bindings, and with them every `Nop`.
+fn drop_bindings(func: &mut IrFunction, is_selected: impl Fn(DebugVarId) -> bool) {
+    func.insts.retain(|inst| match inst.op {
+        Op::DbgValue { var, .. } => !is_selected(var),
+        Op::Nop => false,
+        _ => true,
+    });
+}
+
+/// Move every selected binding `distance` instructions later (at most to
+/// the last position). The instructions a binding moves past are not
+/// examined again, so a selected binding among them stays where it lands.
+fn delay_bindings(
+    func: &mut IrFunction,
+    is_selected: impl Fn(DebugVarId) -> bool,
+    distance: usize,
+) {
+    let len = func.insts.len();
+    let mut rest = std::mem::take(&mut func.insts).into_iter();
     let mut index = 0;
-    while index < func.insts.len() {
-        let is_selected = matches!(
-            func.insts[index].op,
-            Op::DbgValue { var, .. } if selected.contains(&var)
-        );
-        if is_selected {
-            let target = (index + distance).min(func.insts.len() - 1);
-            let inst = func.insts.remove(index);
-            func.insts.insert(target, inst);
+    while let Some(inst) = rest.next() {
+        if matches!(inst.op, Op::DbgValue { var, .. } if is_selected(var)) {
+            let target = (index + distance).min(len - 1);
+            func.insts.extend(rest.by_ref().take(target - index));
+            func.insts.push(inst);
             index = target + 1;
         } else {
+            func.insts.push(inst);
             index += 1;
         }
     }
 }
 
-fn truncate_before_sink(func: &mut IrFunction, selected: &[DebugVarId]) {
-    let mut index = 0;
-    while index < func.insts.len() {
-        if matches!(func.insts[index].op, Op::CallSink { .. }) {
-            let line = func.insts[index].line;
-            let scope = func.insts[index].scope;
-            for &var in selected {
-                func.insts.insert(
-                    index,
-                    Inst::in_scope(
-                        Op::DbgValue {
-                            var,
-                            loc: DbgLoc::Undef,
-                        },
-                        line,
-                        scope,
-                    ),
-                );
-                index += 1;
+fn truncate_before_sink(func: &mut IrFunction, selected: &[bool]) {
+    let selected: Vec<DebugVarId> = (0..selected.len())
+        .filter(|&var| selected[var])
+        .map(|var| DebugVarId(var as u32))
+        .collect();
+    let sinks = func
+        .insts
+        .iter()
+        .filter(|inst| matches!(inst.op, Op::CallSink { .. }))
+        .count();
+    let mut insts = Vec::with_capacity(func.insts.len() + sinks * selected.len());
+    for inst in std::mem::take(&mut func.insts) {
+        if matches!(inst.op, Op::CallSink { .. }) {
+            for &var in &selected {
+                insts.push(Inst::in_scope(
+                    Op::DbgValue {
+                        var,
+                        loc: DbgLoc::Undef,
+                    },
+                    inst.line,
+                    inst.scope,
+                ));
             }
         }
-        index += 1;
+        insts.push(inst);
     }
+    func.insts = insts;
 }
 
-fn mis_scope(func: &mut IrFunction, selected: &[DebugVarId]) {
+fn mis_scope(func: &mut IrFunction, selected: &[bool]) {
     // Create a bogus lexical block covering only the prologue and re-home the
     // selected variables there.
     let bogus = func.add_scope(ScopeKind::Block {
@@ -1032,8 +1081,10 @@ fn mis_scope(func: &mut IrFunction, selected: &[DebugVarId]) {
     if let Some(first) = func.insts.first_mut() {
         first.scope = bogus;
     }
-    for &var in selected {
-        func.vars[var.0 as usize].scope = bogus;
+    for (var, hit) in func.vars.iter_mut().zip(selected) {
+        if *hit {
+            var.scope = bogus;
+        }
     }
 }
 

@@ -66,7 +66,8 @@ impl FrameLayout {
             } => {
                 let mut used: Vec<u8> = allocation
                     .homes
-                    .values()
+                    .iter()
+                    .flatten()
                     .filter_map(|home| match home {
                         Storage::Reg(r) if (callee_saved_first..allocatable).contains(r) => {
                             Some(*r)
@@ -121,8 +122,8 @@ mod tests {
     #[test]
     fn banked_frames_have_no_save_area() {
         let mut allocation = Allocation::default();
-        allocation.homes.insert(VReg(0), Storage::Reg(7));
-        allocation.homes.insert(VReg(1), Storage::Spill(0));
+        allocation.set_home(VReg(0), Storage::Reg(7));
+        allocation.set_home(VReg(1), Storage::Spill(0));
         allocation.spill_count = 1;
         let layout = FrameLayout::new(FrameAbi::Banked, 3, &allocation);
         assert!(layout.saved.is_empty());
@@ -133,12 +134,12 @@ mod tests {
     #[test]
     fn saved_abi_collects_used_callee_saved_registers_in_order() {
         let mut allocation = Allocation::default();
-        allocation.homes.insert(VReg(0), Storage::Reg(8));
-        allocation.homes.insert(VReg(1), Storage::Reg(5));
-        allocation.homes.insert(VReg(2), Storage::Reg(5));
-        allocation.homes.insert(VReg(3), Storage::Reg(2));
-        allocation.homes.insert(VReg(4), Storage::Spill(0));
-        allocation.homes.insert(VReg(5), Storage::Spill(1));
+        allocation.set_home(VReg(0), Storage::Reg(8));
+        allocation.set_home(VReg(1), Storage::Reg(5));
+        allocation.set_home(VReg(2), Storage::Reg(5));
+        allocation.set_home(VReg(3), Storage::Reg(2));
+        allocation.set_home(VReg(4), Storage::Spill(0));
+        allocation.set_home(VReg(5), Storage::Spill(1));
         allocation.spill_count = 2;
         let abi = FrameAbi::Saved {
             callee_saved_first: 5,

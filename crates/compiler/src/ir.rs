@@ -241,61 +241,93 @@ impl Op {
         }
     }
 
-    /// The values read by this instruction (excluding debug bindings).
+    /// The values read by this instruction (excluding debug bindings), in
+    /// operand order.
     pub fn uses(&self) -> Vec<Value> {
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
+    }
+
+    /// Visit the values read by this instruction (excluding debug
+    /// bindings) in operand order, without allocating.
+    pub fn for_each_use(&self, mut visit: impl FnMut(Value)) {
         match self {
-            Op::Copy { src, .. } | Op::Un { src, .. } => vec![*src],
-            Op::Trunc { src, .. } => vec![*src],
-            Op::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Op::LoadGlobal { index, .. } => index.iter().copied().collect(),
-            Op::StoreGlobal { index, value, .. } => {
-                let mut v: Vec<Value> = index.iter().copied().collect();
-                v.push(*value);
-                v
+            Op::Copy { src, .. } | Op::Un { src, .. } | Op::Trunc { src, .. } => visit(*src),
+            Op::Bin { lhs, rhs, .. } => {
+                visit(*lhs);
+                visit(*rhs);
             }
-            Op::LoadSlot { .. } | Op::AddrGlobal { .. } | Op::AddrSlot { .. } => Vec::new(),
-            Op::StoreSlot { value, .. } => vec![*value],
-            Op::LoadPtr { addr, .. } => vec![*addr],
-            Op::StorePtr { addr, value } => vec![*addr, *value],
-            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => vec![*cond],
-            Op::Call { args, .. } | Op::CallSink { args } => args.clone(),
-            Op::Ret { value } => value.iter().copied().collect(),
-            Op::Label(_) | Op::Jump(_) | Op::Nop | Op::DbgValue { .. } => Vec::new(),
+            Op::LoadGlobal { index, .. } => index.iter().copied().for_each(visit),
+            Op::StoreGlobal { index, value, .. } => {
+                if let Some(i) = index {
+                    visit(*i);
+                }
+                visit(*value);
+            }
+            Op::StoreSlot { value, .. } => visit(*value),
+            Op::LoadPtr { addr, .. } => visit(*addr),
+            Op::StorePtr { addr, value } => {
+                visit(*addr);
+                visit(*value);
+            }
+            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => visit(*cond),
+            Op::Call { args, .. } | Op::CallSink { args } => args.iter().copied().for_each(visit),
+            Op::Ret { value } => value.iter().copied().for_each(visit),
+            Op::LoadSlot { .. }
+            | Op::AddrGlobal { .. }
+            | Op::AddrSlot { .. }
+            | Op::Label(_)
+            | Op::Jump(_)
+            | Op::Nop
+            | Op::DbgValue { .. } => {}
+        }
+    }
+
+    /// Visit the operands [`Op::for_each_use`] visits, mutably and in the
+    /// same order. Debug bindings are *not* visited; passes decide how to
+    /// maintain them.
+    pub fn uses_mut(&mut self, mut visit: impl FnMut(&mut Value)) {
+        match self {
+            Op::Copy { src, .. } | Op::Un { src, .. } | Op::Trunc { src, .. } => visit(src),
+            Op::Bin { lhs, rhs, .. } => {
+                visit(lhs);
+                visit(rhs);
+            }
+            Op::LoadGlobal { index, .. } => index.iter_mut().for_each(visit),
+            Op::StoreGlobal { index, value, .. } => {
+                if let Some(i) = index {
+                    visit(i);
+                }
+                visit(value);
+            }
+            Op::StoreSlot { value, .. } => visit(value),
+            Op::LoadPtr { addr, .. } => visit(addr),
+            Op::StorePtr { addr, value } => {
+                visit(addr);
+                visit(value);
+            }
+            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => visit(cond),
+            Op::Call { args, .. } | Op::CallSink { args } => args.iter_mut().for_each(visit),
+            Op::Ret { value } => value.iter_mut().for_each(visit),
+            Op::LoadSlot { .. }
+            | Op::AddrGlobal { .. }
+            | Op::AddrSlot { .. }
+            | Op::Label(_)
+            | Op::Jump(_)
+            | Op::Nop
+            | Op::DbgValue { .. } => {}
         }
     }
 
     /// Rewrite every use of a temp with a replacement value. Debug bindings
     /// are *not* rewritten here; passes decide how to maintain them.
     pub fn replace_uses(&mut self, temp: Temp, replacement: Value) {
-        let subst = |v: &mut Value| {
+        self.uses_mut(|v| {
             if *v == Value::Temp(temp) {
                 *v = replacement;
             }
-        };
-        match self {
-            Op::Copy { src, .. } | Op::Un { src, .. } | Op::Trunc { src, .. } => subst(src),
-            Op::Bin { lhs, rhs, .. } => {
-                subst(lhs);
-                subst(rhs);
-            }
-            Op::LoadGlobal { index: Some(i), .. } => subst(i),
-            Op::StoreGlobal { index, value, .. } => {
-                if let Some(i) = index {
-                    subst(i);
-                }
-                subst(value);
-            }
-            Op::StoreSlot { value, .. } => subst(value),
-            Op::LoadPtr { addr, .. } => subst(addr),
-            Op::StorePtr { addr, value } => {
-                subst(addr);
-                subst(value);
-            }
-            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => subst(cond),
-            Op::Call { args, .. } | Op::CallSink { args } => args.iter_mut().for_each(subst),
-            Op::Ret { value: Some(v) } => subst(v),
-            _ => {}
-        }
+        });
     }
 
     /// Whether the instruction has side effects (and so must not be removed
@@ -537,6 +569,18 @@ impl IrProgram {
     pub fn inst_count(&self) -> usize {
         self.functions.iter().map(|f| f.insts.len()).sum()
     }
+}
+
+/// Entry `index` of a table indexed by a dense number (a temp, label or
+/// vreg number), growing the table to reach it. Passes size such tables by
+/// [`IrFunction::next_temp`]; growing keeps hand-built functions that use
+/// numbers at or above it correct.
+pub(crate) fn dense_entry<T: Clone + Default>(table: &mut Vec<T>, index: u32) -> &mut T {
+    let index = index as usize;
+    if index >= table.len() {
+        table.resize(index + 1, T::default());
+    }
+    &mut table[index]
 }
 
 #[cfg(test)]

@@ -425,4 +425,137 @@ mod tests {
         assert_eq!(exes[0].config.level, OptLevel::O0);
         assert!(exes[0].report.passes_run.is_empty());
     }
+
+    #[test]
+    fn dse_keeps_slot_stores_read_across_a_loop_back_edge() {
+        // g = 3; int x = 1; int *p = &x;
+        // for (i = 0; i < g; i++) { sink(x); x = x + 1; }
+        // `p` is dead, so dce deletes the only address-taking of `x`; the
+        // store `x = x + 1` is then read only by the next iteration's
+        // `sink(x)`, which precedes it in program order.
+        use holes_minic::ast::{BinOp, Expr, LValue, Stmt, Ty, VarRef};
+        use holes_minic::build::ProgramBuilder;
+
+        let mut b = ProgramBuilder::new();
+        let g = b.global("g", Ty::I32, false, vec![0]);
+        let main = b.function("main", Ty::I32);
+        let x = b.local(main, "x", Ty::I32);
+        let p = b.local(main, "p", Ty::Ptr(&Ty::I32));
+        let i = b.local(main, "i", Ty::I32);
+        b.push(main, Stmt::assign(LValue::global(g), Expr::lit(3)));
+        b.push(main, Stmt::decl(x, Some(Expr::lit(1))));
+        b.push(main, Stmt::decl(p, Some(Expr::addr_of(VarRef::Local(x)))));
+        b.push(main, Stmt::decl(i, None));
+        b.push(
+            main,
+            Stmt::for_loop(
+                Some(Stmt::assign(LValue::local(i), Expr::lit(0))),
+                Some(Expr::binary(BinOp::Lt, Expr::local(i), Expr::global(g))),
+                Some(Stmt::assign(
+                    LValue::local(i),
+                    Expr::binary(BinOp::Add, Expr::local(i), Expr::lit(1)),
+                )),
+                vec![
+                    Stmt::call_opaque(vec![Expr::local(x)]),
+                    Stmt::assign(
+                        LValue::local(x),
+                        Expr::binary(BinOp::Add, Expr::local(x), Expr::lit(1)),
+                    ),
+                ],
+            ),
+        );
+        b.push(main, Stmt::ret(Some(Expr::lit(0))));
+        let mut program = b.finish();
+        program.assign_lines();
+        let reference = Interpreter::new(&program).run().expect("reference runs");
+        assert_eq!(reference.sink_calls, vec![vec![1], vec![2], vec![3]]);
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            for level in personality.levels().iter().chain([&OptLevel::O0]) {
+                for backend in BackendKind::ALL {
+                    let config = CompilerConfig::new(personality, *level)
+                        .with_backend(backend)
+                        .without_defects();
+                    let outcome = compile(&program, &config).run().expect("compiled run");
+                    assert!(
+                        outcome.matches(&reference),
+                        "{personality} {level} {backend}: {:?} vs {:?}",
+                        outcome.sink_calls,
+                        reference.sink_calls
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rewritten_passes_and_allocator_match_their_references() {
+        // Differential oracle: on every pass input of generated programs
+        // (each checkpoint of the pipeline, for both personalities, every
+        // level, with and without defects), each linear-time scalar pass
+        // returns the function its pre-rewrite reference returns, and the
+        // dense register allocator returns the reference's allocation. The
+        // register and frame backends share that allocation; the stack
+        // backend has no register allocator.
+        use crate::passes::scalar::{self, reference};
+        type Pass = fn(&mut ir::IrFunction);
+        let pairs: [(&str, Pass, Pass); 4] = [
+            (
+                "constant_fold",
+                scalar::constant_fold,
+                reference::constant_fold,
+            ),
+            (
+                "copy_propagate",
+                scalar::copy_propagate,
+                reference::copy_propagate,
+            ),
+            (
+                "dead_code_eliminate",
+                scalar::dead_code_eliminate,
+                reference::dead_code_eliminate,
+            ),
+            (
+                "dead_store_eliminate",
+                scalar::dead_store_eliminate,
+                reference::dead_store_eliminate,
+            ),
+        ];
+        for seed in 0..12u64 {
+            let program = ProgramGenerator::from_seed(seed).generate().program;
+            for personality in [Personality::Ccg, Personality::Lcc] {
+                for level in personality.levels() {
+                    let trunk = CompilerConfig::new(personality, *level);
+                    for config in [trunk.clone(), trunk.without_defects()] {
+                        let mut ir = lower::lower_program(&program);
+                        let recorded =
+                            passes::run_pipeline_with_checkpoints(&mut ir, &program, &config);
+                        let inputs = recorded.checkpoints.iter().chain([&ir]);
+                        for (k, input) in inputs.enumerate() {
+                            for func in &input.functions {
+                                let at = format!(
+                                    "seed {seed} {} input {k} {}",
+                                    config.describe(),
+                                    func.name
+                                );
+                                for (name, fast, slow) in pairs {
+                                    let (mut got, mut want) = (func.clone(), func.clone());
+                                    fast(&mut got);
+                                    slow(&mut want);
+                                    assert!(
+                                        got == want,
+                                        "{at}: {name} diverges from its reference"
+                                    );
+                                }
+                                let (got, want) = codegen::allocation_and_reference(func);
+                                assert!(
+                                    got == want,
+                                    "{at}: allocation diverges from the reference"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

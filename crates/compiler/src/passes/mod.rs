@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use holes_minic::ast::{GlobalId, Program};
 
 use crate::config::CompilerConfig;
-use crate::defects::{active_defects, apply_defect};
+use crate::defects::{active_catalogue, apply_defect};
 use crate::ir::{IrFunction, IrProgram, Op};
 
 /// Shared context available to every pass.
@@ -26,19 +26,31 @@ pub struct PassContext {
     /// Globals that are never written (and not volatile) anywhere in the
     /// program: loads from them may be replaced by their initializer.
     pub never_written_globals: HashSet<GlobalId>,
-    /// Snapshot of the lowered (pre-optimization) program, used by the
-    /// inliner and the inter-procedural constant pass.
-    pub inline_sources: IrProgram,
-    /// Whether the source global is volatile, by id.
-    pub global_volatile: Vec<bool>,
+    /// What the inter-procedural passes (the inliner and the
+    /// inter-procedural constant pass) read of the lowered,
+    /// pre-optimization program, by function id. Empty when the schedule
+    /// runs neither pass.
+    pub callees: Vec<Callee>,
     /// First initializer element of every global, by id (used when folding
     /// loads from never-written globals).
     pub global_inits: Vec<i64>,
 }
 
+/// What the inter-procedural passes read of one lowered function.
+#[derive(Debug)]
+pub struct Callee {
+    /// Whether the function is pure and returns this constant
+    /// ([`IrFunction::pure_const`]).
+    pub pure_const: Option<i64>,
+    /// The lowered body, when the schedule inlines and the function is
+    /// [`structure::inlinable`].
+    pub inline_body: Option<IrFunction>,
+}
+
 impl PassContext {
-    /// Build the context from the source program and its lowered IR.
-    pub fn new(source: &Program, lowered: &IrProgram) -> PassContext {
+    /// Build the context from the source program, its lowered IR, and the
+    /// pass schedule about to run over it.
+    pub fn new(source: &Program, lowered: &IrProgram, schedule: &[&str]) -> PassContext {
         let mut written: HashSet<GlobalId> = HashSet::new();
         for func in &lowered.functions {
             for inst in &func.insts {
@@ -57,10 +69,22 @@ impl PassContext {
             .filter(|(i, g)| !g.is_volatile && !written.contains(&GlobalId(*i)))
             .map(|(i, _)| GlobalId(i))
             .collect();
+        let inlines = schedule.contains(&"inline");
+        let callees = if inlines || schedule.contains(&"ipa-pure-const") {
+            lowered
+                .functions
+                .iter()
+                .map(|f| Callee {
+                    pure_const: f.pure_const,
+                    inline_body: (inlines && structure::inlinable(f)).then(|| f.clone()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         PassContext {
             never_written_globals: never_written,
-            inline_sources: lowered.clone(),
-            global_volatile: source.globals.iter().map(|g| g.is_volatile).collect(),
+            callees,
             global_inits: source.globals.iter().map(|g| g.init[0]).collect(),
         }
     }
@@ -167,33 +191,32 @@ fn run_pipeline_observed(
     config: &CompilerConfig,
     mut observe: impl FnMut(&IrProgram, usize),
 ) -> PipelineReport {
-    let cx = PassContext::new(source, ir);
     let mut report = PipelineReport::default();
     let mut schedule = config.pass_schedule();
     schedule.retain(|p| !config.disabled_passes.contains(*p));
     if let Some(budget) = config.pass_budget {
         schedule.truncate(budget);
     }
+    let cx = PassContext::new(source, ir, &schedule);
+    let defects = active_catalogue(config);
+    let apply = |ir: &mut IrProgram, stage: &str, report: &mut PipelineReport| {
+        for defect in defects.iter().filter(|d| d.pass == stage) {
+            for func in &mut ir.functions {
+                apply_defect(func, defect);
+            }
+            report.defects_applied.push(defect.id.to_owned());
+        }
+    };
     for pass in schedule {
         for func in &mut ir.functions {
             run_pass(pass, func, &cx);
         }
         report.passes_run.push(pass.to_owned());
-        for defect in active_defects(config, pass) {
-            for func in &mut ir.functions {
-                apply_defect(func, &defect);
-            }
-            report.defects_applied.push(defect.id.to_owned());
-        }
+        apply(ir, pass, &mut report);
         observe(ir, report.defects_applied.len());
     }
     // The always-on code-generation stage hosts its own defects.
-    for defect in active_defects(config, "isel") {
-        for func in &mut ir.functions {
-            apply_defect(func, &defect);
-        }
-        report.defects_applied.push(defect.id.to_owned());
-    }
+    apply(ir, "isel", &mut report);
     report
 }
 
@@ -277,7 +300,7 @@ mod tests {
         let mut p = b.finish();
         p.assign_lines();
         let ir = lower_program(&p);
-        let cx = PassContext::new(&p, &ir);
+        let cx = PassContext::new(&p, &ir, &[]);
         assert!(cx.never_written_globals.contains(&quiet));
         assert!(!cx.never_written_globals.contains(&noisy));
         assert!(!cx.never_written_globals.contains(&volat));

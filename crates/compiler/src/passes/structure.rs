@@ -52,7 +52,7 @@ pub fn cfg_cleanup(func: &mut IrFunction) {
     let referenced = func.referenced_labels();
     for inst in &mut func.insts {
         if let Op::Label(l) = inst.op {
-            if !referenced.contains(&l) {
+            if referenced.binary_search(&l).is_err() {
                 inst.op = Op::Nop;
             }
         }
@@ -99,12 +99,7 @@ pub fn fold_quiescent_globals(func: &mut IrFunction, cx: &PassContext) {
 pub fn fold_pure_calls(func: &mut IrFunction, cx: &PassContext) {
     for inst in &mut func.insts {
         if let Op::Call { dst, callee, .. } = &inst.op {
-            if let Some(constant) = cx
-                .inline_sources
-                .functions
-                .get(callee.0)
-                .and_then(|f| f.pure_const)
-            {
+            if let Some(constant) = cx.callees.get(callee.0).and_then(|c| c.pure_const) {
                 inst.op = match dst {
                     Some(d) => Op::Copy {
                         dst: *d,
@@ -118,32 +113,31 @@ pub fn fold_pure_calls(func: &mut IrFunction, cx: &PassContext) {
     func.remove_nops();
 }
 
+/// Whether the inliner may inline calls to a lowered function: it is small
+/// and is not `main`.
+pub fn inlinable(func: &IrFunction) -> bool {
+    func.code_size() <= 40 && func.name != "main"
+}
+
 /// Inline small internal callees into the caller, creating an inlined scope
 /// and re-homing the callee's variables and debug bindings into it.
 pub fn inline_calls(func: &mut IrFunction, cx: &PassContext) {
     let mut index = 0;
     while index < func.insts.len() {
         let call = match &func.insts[index].op {
-            Op::Call { dst, callee, args }
-                if callee.0 != func.source.0
-                    && cx
-                        .inline_sources
-                        .functions
-                        .get(callee.0)
-                        .map(|f| f.code_size() <= 40 && f.name != "main")
-                        .unwrap_or(false) =>
-            {
-                Some((*dst, *callee, args.clone()))
-            }
+            Op::Call { dst, callee, args } if callee.0 != func.source.0 => cx
+                .callees
+                .get(callee.0)
+                .and_then(|c| c.inline_body.as_ref())
+                .map(|body| (*dst, *callee, args.clone(), body)),
             _ => None,
         };
-        let Some((dst, callee, args)) = call else {
+        let Some((dst, callee, args, callee_ir)) = call else {
             index += 1;
             continue;
         };
         let call_line = func.insts[index].line;
         let parent_scope = func.insts[index].scope;
-        let callee_ir = cx.inline_sources.functions[callee.0].clone();
         // Build remapping tables.
         let temp_offset = func.next_temp;
         func.next_temp += callee_ir.next_temp;
@@ -534,11 +528,14 @@ pub fn schedule_loads(func: &mut IrFunction) {
         }
         let prev_def = prev.op.def();
         let curr_def = curr.op.def();
-        let curr_uses: Vec<Temp> = curr.op.uses().iter().filter_map(|v| v.as_temp()).collect();
-        let prev_uses: Vec<Temp> = prev.op.uses().iter().filter_map(|v| v.as_temp()).collect();
+        let reads = |op: &Op, temp: Temp| {
+            let mut hit = false;
+            op.for_each_use(|v| hit |= v == Value::Temp(temp));
+            hit
+        };
         let independent = prev_def != curr_def
-            && prev_def.is_none_or(|d| !curr_uses.contains(&d))
-            && curr_def.is_none_or(|d| !prev_uses.contains(&d));
+            && prev_def.is_none_or(|d| !reads(&curr.op, d))
+            && curr_def.is_none_or(|d| !reads(&prev.op, d));
         if independent {
             std::mem::swap(prev, curr);
         }
@@ -555,7 +552,7 @@ mod tests {
     fn lowered(program: &mut Program) -> (crate::ir::IrProgram, PassContext) {
         program.assign_lines();
         let ir = lower_program(program);
-        let cx = PassContext::new(program, &ir);
+        let cx = PassContext::new(program, &ir, &["inline", "ipa-pure-const"]);
         (ir, cx)
     }
 

@@ -21,6 +21,8 @@
 //! exactly one position — so every backend that lowers the same IR computes
 //! the same live ranges and therefore the same assignments.
 
+use std::ops::Range;
+
 use crate::ir::ScopeId;
 
 /// A virtual register: the unit the register allocator assigns a physical
@@ -93,8 +95,9 @@ pub struct VInst<I> {
 pub struct PosInfo {
     /// The vreg defined at this position, if any.
     pub def: Option<VReg>,
-    /// The vregs used at this position.
-    pub uses: Vec<VReg>,
+    /// The vregs used at this position, as a range of
+    /// [`VCode::position_uses`] (see [`VCode::uses_at`]).
+    pub uses: Range<usize>,
     /// A vreg referenced by a debug binding at this position: it must stay
     /// allocated (live to the end of the function) so the variable's
     /// location remains valid — mirroring how the unoptimized baseline
@@ -117,6 +120,8 @@ pub struct VCode<I> {
     pub insts: Vec<VInst<I>>,
     /// Per-IR-position liveness summaries (one per IR instruction).
     pub positions: Vec<PosInfo>,
+    /// The used vregs of every position, concatenated in position order.
+    pub position_uses: Vec<VReg>,
     /// Parameter vregs in argument order; the calling convention pins them
     /// to the first argument registers.
     pub params: Vec<VReg>,
@@ -131,5 +136,10 @@ impl<I> VCode<I> {
     /// (debug-referenced vregs are extended to it).
     pub fn end_position(&self) -> usize {
         self.positions.len()
+    }
+
+    /// The vregs used at a position.
+    pub fn uses_at(&self, pos: &PosInfo) -> &[VReg] {
+        &self.position_uses[pos.uses.clone()]
     }
 }
